@@ -8,6 +8,7 @@
 #include "common/argparse.hh"
 #include "common/build_info.hh"
 #include "common/log.hh"
+#include "common/mini_json.hh"
 #include "common/thread_pool.hh"
 
 namespace mssr::bench
@@ -209,23 +210,6 @@ Harness::runBatch(const std::vector<BatchJob> &jobs)
     }
     return results;
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 void
 Harness::writeJson() const

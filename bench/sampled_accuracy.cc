@@ -25,6 +25,7 @@
 #include "bench_common.hh"
 #include "common/argparse.hh"
 #include "common/build_info.hh"
+#include "common/mini_json.hh"
 #include "driver/sampled_runner.hh"
 
 using namespace mssr;
@@ -168,9 +169,10 @@ main(int argc, char **argv)
         os.precision(17);
         os << "{\n  \"bench\": \"sampled_accuracy\",\n  \"threads\": "
            << runner.threads()
-           << ",\n  \"build_info\": {\"git\": \"" << buildGitRevision()
-           << "\", \"compiler\": \"" << buildCompiler()
-           << "\", \"build_type\": \"" << buildType() << "\"}"
+           << ",\n  \"build_info\": {\"git\": \""
+           << jsonEscape(buildGitRevision()) << "\", \"compiler\": \""
+           << jsonEscape(buildCompiler()) << "\", \"build_type\": \""
+           << jsonEscape(buildType()) << "\"}"
            << ",\n  \"sample_period\": " << period
            << ",\n  \"sample_window\": " << window
            << ",\n  \"jobs\": " << points.size() * 2
@@ -178,7 +180,8 @@ main(int argc, char **argv)
            << ",\n  \"results\": [";
         for (std::size_t i = 0; i < points.size(); ++i) {
             const Point &p = points[i];
-            os << (i ? ",\n    " : "\n    ") << "{\"name\": \"" << p.name
+            os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
+               << jsonEscape(p.name)
                << "\", \"full_ipc\": " << p.fullIpc
                << ", \"full_host_sec\": " << p.fullHostSec
                << ", \"sampled_ipc\": " << p.sampled.ipc

@@ -1,7 +1,9 @@
 /**
  * @file
- * Minimal recursive-descent JSON reader: just enough to let tests and
- * the bench smoke check parse the simulator's own JSON output (the
+ * Minimal JSON support. jsonEscape() is the one JSON string escaper
+ * the simulator, its tools and bench binaries share. The
+ * recursive-descent reader is just enough to let tests and the bench
+ * smoke check parse the simulator's own JSON output (the
  * BENCH_batch.json perf log and the Chrome trace_event export) and
  * validate its schema. Not a general-purpose parser -- it accepts
  * exactly the JSON subset we emit (objects, arrays, strings with
@@ -12,10 +14,50 @@
 #define MSSR_COMMON_MINI_JSON_HH
 
 #include <cctype>
+#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+namespace mssr
+{
+
+/**
+ * Escapes @p s for embedding inside a JSON string literal: quote,
+ * backslash and the C0 control characters (named escapes for
+ * \\b \\f \\n \\r \\t, \\u00XX for the rest).
+ */
+inline std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace mssr
 
 namespace mssr::minijson
 {
@@ -145,17 +187,46 @@ class JsonParser
         v.kind = JsonValue::String;
         expect('"');
         while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size())
-                    fail("bad escape");
+            const char c = text_[pos_++];
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("unescaped control character in string");
+            if (c != '\\') {
+                v.string += c;
+                continue;
             }
-            v.string += text_[pos_++];
+            if (pos_ >= text_.size())
+                fail("bad escape");
+            switch (const char e = text_[pos_++]) {
+              case 'b': v.string += '\b'; break;
+              case 'f': v.string += '\f'; break;
+              case 'n': v.string += '\n'; break;
+              case 'r': v.string += '\r'; break;
+              case 't': v.string += '\t'; break;
+              case 'u': v.string += asciiEscape(); break;
+              default: v.string += e; // \" \\ \/
+            }
         }
         if (pos_ >= text_.size())
             fail("unterminated string");
         ++pos_; // closing quote
         return v;
+    }
+
+    /** The XXXX of a \\uXXXX escape; only the ASCII range (what
+     *  jsonEscape emits) is supported. */
+    char
+    asciiEscape()
+    {
+        const std::string hex = text_.substr(pos_, 4);
+        pos_ += hex.size();
+        if (hex.size() != 4 ||
+            hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                std::string::npos)
+            fail("bad \\u escape");
+        const unsigned long cp = std::stoul(hex, nullptr, 16);
+        if (cp >= 0x80)
+            fail("non-ASCII \\u escape");
+        return static_cast<char>(cp);
     }
 
     JsonValue

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/log.hh"
+#include "common/mini_json.hh"
 
 namespace mssr
 {
@@ -83,18 +84,6 @@ Tracer::clear()
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 void
 writeHexPc(std::ostream &os, Addr pc)

@@ -162,12 +162,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         }
         groups[it->second].jobIdx.push_back(i);
     }
-    const auto stopped = [this] {
-        return stopFlag_ && stopFlag_->load(std::memory_order_relaxed);
-    };
     for (PrefixGroup &g : groups) {
-        if (stopped())
-            break; // draining: the group's jobs will be skipped too
         const auto t0 = std::chrono::steady_clock::now();
         std::string path;
         if (!ckptDir_.empty())
@@ -205,10 +200,7 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     // Phase 1 -- the detailed runs.
     // Sequential fast path: no pool, no synchronization. Results are
     // identical either way; this is the timing baseline.
-    std::vector<std::uint8_t> ran(jobs.size(), 0);
     const auto runOne = [&](std::size_t i) {
-        if (stopped())
-            return; // drained before start: default result, no hook
         metrics.jobsRunning.add(1);
         try {
             results[i] = runSim(*jobs[i].program, configs[i], nullptr,
@@ -217,7 +209,6 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             metrics.jobsRunning.sub(1);
             throw;
         }
-        ran[i] = 1;
         metrics.jobsRunning.sub(1);
         metrics.jobsDone.inc();
         metrics.insts.inc(results[i].insts);
@@ -256,8 +247,6 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
     // the group's compute-or-load wall time and the real disk-cache
     // hit/miss status; the other members stay hits.
     for (const PrefixGroup &g : groups) {
-        if (!ran[g.jobIdx.front()])
-            continue; // owner skipped by a drain: nothing to attribute
         RunResult &owner = results[g.jobIdx.front()];
         owner.ckptHit = g.diskHit;
         owner.ffHostSeconds = g.hostSeconds;

@@ -18,7 +18,6 @@
 #ifndef MSSR_DRIVER_BATCH_RUNNER_HH
 #define MSSR_DRIVER_BATCH_RUNNER_HH
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -91,8 +90,9 @@ class BatchRunner
 
     /**
      * Per-job completion hook, invoked on the worker thread right
-     * after each job's result lands in the batch's result vector (the
-     * incremental-streaming primitive behind mssr_serve). The callback
+     * after each job's result lands in the batch's result vector, so a
+     * caller can observe jobs as they finish (perfbench reads each
+     * job's host CPU time here). The callback
      * receives the job's submission index and its RunResult; it must
      * be thread-safe, and must not touch other jobs' results. Note the
      * shared-warm-up attribution fields (ckptHit, ffHostSeconds) are
@@ -102,17 +102,6 @@ class BatchRunner
      */
     using JobDoneFn = std::function<void(std::size_t, const RunResult &)>;
     void setJobDone(JobDoneFn fn) { jobDone_ = std::move(fn); }
-
-    /**
-     * Cooperative drain: with a stop flag set, run() skips every job
-     * that has not yet started once the flag reads true (skipped jobs
-     * keep a default RunResult and fire no completion hook; in-flight
-     * jobs always finish). Shared warm-ups not yet taken are skipped
-     * too. The caller owns the atomic and must keep it alive for the
-     * run. This is how mssr_serve bounds SIGTERM-drain latency to one
-     * job instead of one queue.
-     */
-    void setStopFlag(const std::atomic<bool> *stop) { stopFlag_ = stop; }
 
     /**
      * Runs all @p jobs and returns results in submission order.
@@ -159,7 +148,6 @@ class BatchRunner
     std::string metricsOut_;
     std::string progressLabel_ = "batch";
     JobDoneFn jobDone_;
-    const std::atomic<bool> *stopFlag_ = nullptr;
 };
 
 } // namespace mssr

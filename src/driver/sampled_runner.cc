@@ -59,6 +59,11 @@ estimateFrom(const std::vector<double> &xs)
     return e;
 }
 
+namespace
+{
+
+/** The sampled-mode exclusion matrix: the empty string when @p job can
+ *  run under runSampled(), else the reason it cannot. */
 std::string
 sampledJobError(const BatchJob &job)
 {
@@ -84,9 +89,6 @@ sampledJobError(const BatchJob &job)
         return "inspect hooks would fire once per window, not per run";
     return "";
 }
-
-namespace
-{
 
 /** Rejects a config the sampled mode cannot honor, with a reason the
  *  CLI can print verbatim. */

@@ -61,17 +61,6 @@ struct SampleEstimate
 SampleEstimate estimateFrom(const std::vector<double> &xs);
 
 /**
- * The sampled-mode exclusion matrix as a queryable predicate: returns
- * the empty string when @p job can run under runSampled(), else the
- * human-readable reason runSampled() would reject it with. Front ends
- * that must answer instead of die -- mssr_serve validates every
- * submitted job spec against this before accepting a batch -- call
- * this; runSampled() itself throws std::invalid_argument built from
- * the same text, so the two can never drift.
- */
-std::string sampledJobError(const BatchJob &job);
-
-/**
  * Two-sided 95% Student-t critical value for @p df degrees of
  * freedom (exact table through df = 30, then the standard 40/60/120
  * rows, then the normal 1.96). NaN for df = 0.

@@ -198,6 +198,27 @@ TEST(Tracer, ChromeJsonParsesBack)
     EXPECT_EQ(jdrops->second.number, static_cast<double>(tracer.dropped()));
 }
 
+TEST(Tracer, ChromeJsonEscapesControlCharactersInLabels)
+{
+    // The label is the job name, e.g. an --asm path, and may hold any
+    // byte; the export must stay valid JSON and keep the name intact.
+    Tracer tracer(16);
+    tracer.record(TraceStage::Fetch, 1, 0x100);
+    const std::string label = "dir\tname\n\x01" ".s";
+    std::ostringstream os;
+    tracer.writeChromeJson(os, label);
+    EXPECT_EQ(os.str().find('\x01'), std::string::npos);
+    const JsonValue root = JsonParser(os.str()).parse();
+    bool sawProcessName = false;
+    for (const JsonValue &e : root.object.at("traceEvents").array) {
+        if (e.object.at("name").string == "process_name") {
+            sawProcessName = true;
+            EXPECT_EQ(e.object.at("args").object.at("name").string, label);
+        }
+    }
+    EXPECT_TRUE(sawProcessName);
+}
+
 TEST(Tracer, EventStreamIdenticalAcrossWorkerCounts)
 {
     // The per-job event stream must be bit-identical whether the batch

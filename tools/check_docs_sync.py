@@ -22,11 +22,6 @@ Two checks keep the documentation and the binaries honest:
    must be spelled as a backtick literal somewhere in docs/FORMATS.md.
    An emitted key the format reference does not document fails the
    test, as does a `.prom` metric name missing from the reference.
-   The same check covers the service path: a real mssr_serve is
-   booted on a scratch socket, driven with the documented mssr_submit
-   commands, and its crash journal, server-side results stream,
-   client-fetched results, status reply and live metrics textfile are
-   key-checked against docs/FORMATS.md like every other artifact.
 
 Usage: check_docs_sync.py --repo REPO_DIR --build BUILD_DIR
 """
@@ -171,55 +166,6 @@ def generate_fixtures(build, scratch):
             "BENCH_batch.json", os.path.join("sampled", "BENCH_batch.json")]
 
 
-def generate_serve_fixtures(build, scratch):
-    """Boots a real mssr_serve on a scratch socket, drives it with the
-    documented mssr_submit commands, and returns (json_fixtures,
-    jsonl_fixtures) for the key check. The server is torn down even if
-    a client command fails."""
-    serve = os.path.join(build, "tools", "mssr_serve")
-    submit = os.path.join(build, "tools", "mssr_submit")
-    sock = os.path.join(scratch, "sync_serve.sock")
-    sweep = os.path.join(scratch, "sync_serve_sweep.json")
-    with open(sweep, "w", encoding="utf-8") as f:
-        json.dump([
-            {"workload": "nested-mispred", "scheme": "rgid",
-             "fast_forward": 2000, "iters": 150, "scale": 6},
-            {"name": "sampled", "workload": "nested-mispred",
-             "scheme": "rgid", "iters": 2000, "scale": 6,
-             "sample_period": 10000, "sample_window": 2000},
-        ], f)
-    log = open(os.path.join(scratch, "sync_serve.log"), "wb")
-    server = subprocess.Popen(
-        [serve, "--socket", sock,
-         "--journal", os.path.join(scratch, "sync_serve_journal.jsonl"),
-         "--results-out", os.path.join(scratch, "sync_serve_results.jsonl"),
-         "--metrics-out", os.path.join(scratch, "sync_serve.prom"),
-         "--ckpt-dir", os.path.join(scratch, "sync_serve_ckpt"),
-         "--jobs", "2"],
-        cwd=scratch, stdout=log, stderr=log)
-    try:
-        def client(args, out=None):
-            subprocess.run([submit, "--socket", sock] + args,
-                           cwd=scratch, check=True, timeout=240,
-                           stdout=out or subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL)
-        client(["submit", sweep, "--wait", "--out",
-                os.path.join(scratch, "sync_serve_fetched.jsonl")])
-        with open(os.path.join(scratch, "sync_serve_status.json"),
-                  "wb") as f:
-            client(["status", "--json"], out=f)
-        client(["shutdown"])
-        server.wait(timeout=60)
-    finally:
-        server.kill()
-        log.close()
-    if server.returncode != 0:
-        raise subprocess.CalledProcessError(server.returncode, serve)
-    return (["sync_serve_status.json"],
-            ["sync_serve_journal.jsonl", "sync_serve_results.jsonl",
-             "sync_serve_fetched.jsonl"])
-
-
 def check_formats_doc(repo, build, scratch):
     failures = []
     formats = open(os.path.join(repo, FORMATS_DOC), encoding="utf-8").read()
@@ -227,16 +173,14 @@ def check_formats_doc(repo, build, scratch):
     # `metric{label,...}` documents the metric name too.
     documented |= {d.split("{", 1)[0] for d in documented if "{" in d}
 
-    serve_json, serve_jsonl = generate_serve_fixtures(build, scratch)
     keys = {}
-    for fixture in generate_fixtures(build, scratch) + serve_json:
+    for fixture in generate_fixtures(build, scratch):
         ks = set()
         json_keys(json.load(open(os.path.join(scratch, fixture))), ks)
         keys[fixture] = ks
-    # JSONL artifacts: one JSON object per line (structured log,
-    # bench history, serve journal and result streams); every key must
-    # be documented like any other.
-    for fixture in ["sync_log.jsonl", "sync_hist.jsonl"] + serve_jsonl:
+    # JSONL artifacts: one JSON object per line (structured log and
+    # bench history); every key must be documented like any other.
+    for fixture in ["sync_log.jsonl", "sync_hist.jsonl"]:
         ks = set()
         for line in open(os.path.join(scratch, fixture), encoding="utf-8"):
             if line.strip():
@@ -265,7 +209,7 @@ def check_formats_doc(repo, build, scratch):
     print("formats: %d distinct emitted JSON keys, all checked against %s"
           % (len(all_keys), FORMATS_DOC))
 
-    for prom_file in ["sync_s.prom", "sync_m.prom", "sync_serve.prom"]:
+    for prom_file in ["sync_s.prom", "sync_m.prom"]:
         prom = open(os.path.join(scratch, prom_file),
                     encoding="utf-8").read()
         for name in sorted(set(re.findall(r"^# TYPE (\w+)", prom, re.M))):

@@ -141,6 +141,7 @@
 #include "common/build_info.hh"
 #include "common/cpi_stack.hh"
 #include "common/log.hh"
+#include "common/mini_json.hh"
 #include "common/pipeview.hh"
 #include "common/serialize.hh"
 #include "common/trace.hh"
@@ -328,18 +329,6 @@ u32Value(const char *argv0, const std::string &flag, const std::string &v,
         usage(argv0);
     }
     return static_cast<unsigned>(parsed);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /**
