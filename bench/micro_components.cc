@@ -11,10 +11,12 @@
 #include "bpu/tage.hh"
 #include "common/rng.hh"
 #include "core/free_list.hh"
+#include "core/issue_queue.hh"
 #include "driver/sim_runner.hh"
 #include "memsys/cache.hh"
 #include "reuse/bloom.hh"
 #include "reuse/reconv_detector.hh"
+#include "reuse/squash_log.hh"
 #include "workloads/micro.hh"
 
 using namespace mssr;
@@ -32,6 +34,7 @@ BM_ReconvOverlapCheck(benchmark::State &state)
     for (unsigned i = 0; i < entries; ++i)
         stream.entries.push_back(
             WpbEntry{true, 0x1000 + i * 0x20, 0x101c + i * 0x20});
+    stream.numFilled = entries;
     Rng rng(1);
     for (auto _ : state) {
         const Addr start = 0x1000 + (rng.next() & 0x7e0);
@@ -58,6 +61,67 @@ BM_TageLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TageLookup);
+
+/**
+ * One mispredict capture into a recycled squash-log stream: clear the
+ * victim, then log a typical short squashed path (8 instructions).
+ * The cost must follow the 8 logged entries, not the log's capacity.
+ */
+void
+BM_SquashLogCaptureClear(benchmark::State &state)
+{
+    SquashLog log(1, static_cast<unsigned>(state.range(0)));
+    SquashLogEntry entry;
+    entry.hasDest = true;
+    entry.executed = true;
+    for (auto _ : state) {
+        log.clearStream(0);
+        for (unsigned i = 0; i < 8; ++i) {
+            entry.pc = 0x1000 + 4 * i;
+            log.append(0, entry);
+        }
+        benchmark::DoNotOptimize(log.stream(0).entries.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SquashLogCaptureClear)->Arg(64)->Arg(256)->Arg(4096);
+
+/**
+ * Issue select at a fixed IQ occupancy: pick up to 4 ready
+ * instructions (about a quarter are ready each round) and re-insert
+ * them as fresh ones, so the queue stays at the given size.
+ */
+void
+BM_IssueSelect(benchmark::State &state)
+{
+    const unsigned occupancy = static_cast<unsigned>(state.range(0));
+    IssueQueue iq(occupancy);
+    SeqNum next = 1;
+    for (unsigned i = 0; i < occupancy; ++i) {
+        auto inst = std::make_shared<DynInst>();
+        inst->seq = next++;
+        iq.insert(inst);
+    }
+    std::vector<DynInstPtr> picked;
+    std::uint64_t round = 0;
+    for (auto _ : state) {
+        ++round;
+        iq.selectReady(
+            4,
+            [round](const DynInstPtr &inst) {
+                return ((inst->seq ^ round) & 3) == 0;
+            },
+            picked);
+        for (const DynInstPtr &inst : picked) {
+            inst->seq = next++;
+            iq.insert(inst);
+        }
+        benchmark::DoNotOptimize(picked.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IssueSelect)->Arg(16)->Arg(64);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -9,6 +9,7 @@
 #ifndef MSSR_BPU_TAGE_HH
 #define MSSR_BPU_TAGE_HH
 
+#include <array>
 #include <vector>
 
 #include "bpu/predictor.hh"
@@ -26,17 +27,23 @@ struct TageConfig
     unsigned usefulResetPeriod = 1 << 18;
 };
 
-/** Result of a TAGE table walk, shared by predict and train paths. */
+/**
+ * Result of a TAGE table walk, shared by predict and train paths.
+ * Fixed-size so a lookup (two per branch) never touches the heap;
+ * entries [0, histLens.size()) are filled.
+ */
 struct TageLookup
 {
+    static constexpr unsigned MaxTables = 16;
+
     int provider = -1;         //!< providing tagged table, -1 = base
     int alt = -1;              //!< alternate provider, -1 = base
     bool providerPred = false;
     bool altPred = false;
     bool pred = false;         //!< final TAGE prediction
     bool weak = false;         //!< provider counter is weak
-    std::vector<std::uint32_t> indices;  //!< per-table index
-    std::vector<std::uint16_t> tags;     //!< per-table tag
+    std::array<std::uint32_t, MaxTables> indices{}; //!< per-table index
+    std::array<std::uint16_t, MaxTables> tags{};    //!< per-table tag
     std::size_t baseIndex = 0;
 };
 

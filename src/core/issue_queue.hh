@@ -9,8 +9,7 @@
 #ifndef MSSR_CORE_ISSUE_QUEUE_HH
 #define MSSR_CORE_ISSUE_QUEUE_HH
 
-#include <functional>
-#include <list>
+#include <algorithm>
 #include <vector>
 
 #include "common/log.hh"
@@ -22,7 +21,10 @@ namespace mssr
 class IssueQueue
 {
   public:
-    explicit IssueQueue(unsigned capacity) : capacity_(capacity) {}
+    explicit IssueQueue(unsigned capacity) : capacity_(capacity)
+    {
+        insts_.reserve(capacity);
+    }
 
     bool full() const { return insts_.size() >= capacity_; }
     std::size_t size() const { return insts_.size(); }
@@ -37,43 +39,52 @@ class IssueQueue
 
     /**
      * Selects up to @p max_issue ready instructions, oldest first,
-     * removing them from the queue.
-     * @param ready predicate deciding whether an inst can issue now.
+     * removing them from the queue and replacing the contents of
+     * @p out with them. @p ready is polled in queue order until
+     * @p max_issue are picked. Neither the queue nor a reused @p out
+     * allocates once warm.
      */
-    std::vector<DynInstPtr>
-    selectReady(unsigned max_issue,
-                const std::function<bool(const DynInstPtr &)> &ready)
+    template <typename Ready>
+    void
+    selectReady(unsigned max_issue, Ready &&ready,
+                std::vector<DynInstPtr> &out)
     {
-        std::vector<DynInstPtr> out;
-        for (auto it = insts_.begin();
-             it != insts_.end() && out.size() < max_issue;) {
+        out.clear();
+        auto keep = insts_.begin();
+        auto it = insts_.begin();
+        for (; it != insts_.end() && out.size() < max_issue; ++it) {
             if (ready(*it)) {
                 (*it)->inIq = false;
-                out.push_back(*it);
-                it = insts_.erase(it);
+                out.push_back(std::move(*it));
             } else {
-                ++it;
+                if (keep != it)
+                    *keep = std::move(*it);
+                ++keep;
             }
         }
-        return out;
+        keep = std::move(it, insts_.end(), keep);
+        insts_.erase(keep, insts_.end());
     }
 
     /** Removes squashed instructions (seq > @p after_seq). */
     void
     squashAfter(SeqNum after_seq)
     {
-        insts_.remove_if([after_seq](const DynInstPtr &inst) {
-            if (inst->seq > after_seq) {
-                inst->inIq = false;
-                return true;
-            }
-            return false;
-        });
+        insts_.erase(
+            std::remove_if(insts_.begin(), insts_.end(),
+                           [after_seq](const DynInstPtr &inst) {
+                               if (inst->seq > after_seq) {
+                                   inst->inIq = false;
+                                   return true;
+                               }
+                               return false;
+                           }),
+            insts_.end());
     }
 
   private:
     unsigned capacity_;
-    std::list<DynInstPtr> insts_; //!< insertion (program) order
+    std::vector<DynInstPtr> insts_; //!< insertion (program) order
 };
 
 } // namespace mssr

@@ -226,11 +226,12 @@ void
 O3Cpu::writebackStage()
 {
     // Collect due events; process in sequence order for determinism.
-    std::vector<DynInstPtr> due;
+    std::vector<DynInstPtr> &due = wbDue_;
+    due.clear();
     for (auto it = wbQueue_.begin(); it != wbQueue_.end();) {
         if (it->when <= cycle_) {
-            due.push_back(it->inst);
-            *it = wbQueue_.back();
+            due.push_back(std::move(it->inst));
+            *it = std::move(wbQueue_.back());
             wbQueue_.pop_back();
         } else {
             ++it;
@@ -281,6 +282,7 @@ O3Cpu::writebackStage()
                           SquashReason::BranchMispredict);
         }
     }
+    due.clear();
 }
 
 void
@@ -333,13 +335,9 @@ O3Cpu::executeLoad(const DynInstPtr &inst)
     if (inst->si.memSigned())
         value = static_cast<RegVal>(sext(value, 8 * size));
 
-    if (inst->verifyPending) {
-        // Stage the freshly loaded value; writeback compares it with
-        // the reused one.
-        inst->result = value;
-    } else {
-        inst->result = value;
-    }
+    // For a reused load under verification this stages the freshly
+    // loaded value; writeback compares it with the reused one.
+    inst->result = value;
     wbQueue_.push_back(WritebackEvent{cycle_ + latency, inst});
 }
 
@@ -404,14 +402,16 @@ O3Cpu::issueStage()
         return inst->verifyPending || srcsReady(inst);
     };
 
-    for (const auto &inst : iqInt_.selectReady(cfg_.core.numBru,
-                                               readyBranch)) {
+    iqInt_.selectReady(cfg_.core.numBru, readyBranch, issued_);
+    for (const auto &inst : issued_)
         executeInst(inst);
-    }
-    for (const auto &inst : iqInt_.selectReady(cfg_.core.numAlu, readyAlu))
+    iqInt_.selectReady(cfg_.core.numAlu, readyAlu, issued_);
+    for (const auto &inst : issued_)
         executeInst(inst);
-    for (const auto &inst : iqMem_.selectReady(cfg_.core.numLsu, readyMem))
+    iqMem_.selectReady(cfg_.core.numLsu, readyMem, issued_);
+    for (const auto &inst : issued_)
         executeInst(inst);
+    issued_.clear();
 }
 
 O3Cpu::RenameOutcome

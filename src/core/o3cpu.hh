@@ -211,6 +211,9 @@ class O3Cpu
     IssueQueue iqMem_;
     Lsq lsq_;
     std::vector<WritebackEvent> wbQueue_;
+    // Per-cycle scratch, reused so no stage allocates once warm.
+    std::vector<DynInstPtr> wbDue_;        //!< writebackStage
+    std::vector<DynInstPtr> issued_;       //!< issueStage
 
     // Reuse schemes (at most one active).
     std::unique_ptr<ReuseUnit> reuse_;

@@ -39,6 +39,9 @@ struct ReconvHit
 class ReconvDetector
 {
   public:
+    // The aligners evaluate the filled prefix [0, numFilled) only:
+    // entries beyond it are invalid, so their mask bits are zero.
+
     /** Left aligner: mask[i] = (head_start <= end_pc[i]) & valid[i]. */
     static std::uint64_t leftAlignerMask(const WpbStream &stream,
                                          Addr head_start);

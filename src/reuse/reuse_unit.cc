@@ -25,9 +25,8 @@ ReuseUnit::streamInstPC(const WpbStream &stream, unsigned index,
                         Addr &pc_out)
 {
     unsigned remaining = index;
-    for (const WpbEntry &e : stream.entries) {
-        if (!e.valid)
-            continue;
+    for (unsigned i = 0; i < stream.numFilled; ++i) {
+        const WpbEntry &e = stream.entries[i];
         const unsigned n =
             static_cast<unsigned>((e.endPC - e.startPC) / InstBytes + 1);
         if (remaining < n) {
@@ -103,7 +102,8 @@ ReuseUnit::onBranchSquash(SeqNum branch_seq,
 
     // Reconstruct the squashed path as contiguous fetch-block ranges
     // (<= fetch-block size), oldest first.
-    std::vector<WpbEntry> ranges;
+    std::vector<WpbEntry> &ranges = captureRanges_;
+    ranges.clear();
     constexpr unsigned MaxBlockInsts = 8; // 32B / 4B
     for (const auto &inst : squashed) {
         const bool extend =
@@ -197,7 +197,8 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
 
     // Most-recently-updated stream is preferred (section 3.3.1);
     // streams already claimed by a queued session are skipped.
-    std::vector<unsigned> order;
+    std::vector<unsigned> &order = detectOrder_;
+    order.clear();
     for (unsigned s = 0; s < wpb_.numStreams(); ++s)
         if (wpb_.stream(s).valid && !streamInSession(s))
             order.push_back(s);

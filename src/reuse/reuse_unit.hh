@@ -246,6 +246,8 @@ class ReuseUnit
     std::uint64_t funnelKillBloom_ = 0;
     std::vector<Cycle> streamCaptureCycle_; //!< per-stream capture stamp
     std::vector<Addr> streamOriginPC_;      //!< per-stream origin branch
+    std::vector<unsigned> detectOrder_;     //!< detect() scratch
+    std::vector<WpbEntry> captureRanges_;   //!< onBranchSquash() scratch
     Histogram reuseLag_{256};  //!< capture-to-reuse latency (cycles)
 };
 

@@ -17,10 +17,14 @@ void
 SquashLog::clearStream(unsigned s)
 {
     mssr_assert(s < streams_.size());
-    streams_[s].valid = false;
-    streams_[s].numEntries = 0;
-    for (auto &e : streams_[s].entries)
-        e = SquashLogEntry{};
+    SquashLogStream &stream = streams_[s];
+    // Only [0, numEntries) was ever written since the last clear:
+    // every reader stops at numEntries and append() overwrites whole
+    // entries, so the slots beyond need no reset.
+    for (unsigned i = 0; i < stream.numEntries; ++i)
+        stream.entries[i] = SquashLogEntry{};
+    stream.valid = false;
+    stream.numEntries = 0;
 }
 
 bool

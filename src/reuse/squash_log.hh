@@ -58,7 +58,11 @@ struct SquashLogEntry
     std::uint8_t memSize = 0;
 };
 
-/** One squashed stream's log. */
+/**
+ * One squashed stream's log. Only entries [0, numEntries) hold data;
+ * readers never look past numEntries, so clearing and capturing cost
+ * what the stream holds, not its capacity.
+ */
 struct SquashLogStream
 {
     bool valid = false;
@@ -80,7 +84,10 @@ class SquashLog
     SquashLogStream &stream(unsigned s) { return streams_[s]; }
     const SquashLogStream &stream(unsigned s) const { return streams_[s]; }
 
-    /** Clears stream @p s for rewriting (WPB allocates round-robin). */
+    /**
+     * Clears stream @p s for rewriting (WPB allocates round-robin).
+     * Resets only the entries logged since the last clear.
+     */
     void clearStream(unsigned s);
 
     /**

@@ -26,11 +26,16 @@ struct WpbEntry
     Addr endPC = 0;   //!< inclusive
 };
 
-/** One squashed stream in the WPB. */
+/**
+ * One squashed stream in the WPB. The valid entries always form the
+ * prefix [0, numFilled) of @c entries; readers stop at numFilled, so
+ * their cost follows what the stream holds, not its capacity M.
+ */
 struct WpbStream
 {
     bool valid = false;
     std::vector<WpbEntry> entries;
+    unsigned numFilled = 0;          //!< length of the valid prefix
     Addr vpn = 0;                    //!< PC[47:12] when VPN-restricted
     SeqNum originBranchSeq = 0;      //!< branch whose squash made this
     std::uint64_t squashEventIndex = 0;

@@ -144,6 +144,28 @@ randomConfig(std::uint64_t seed)
     return cfg;
 }
 
+/** Runs @p prog on the O3 core and the functional oracle; all
+ *  architectural state must match. */
+void
+expectOracleMatch(const isa::Program &prog, SimConfig cfg,
+                  const std::string &what)
+{
+    Memory refMem;
+    FuncEmu emu(prog, refMem);
+    emu.run(10'000'000);
+    ASSERT_TRUE(emu.halted());
+
+    CosimTriage triage(what, cfg);
+    Memory o3Mem;
+    const RunResult r = runSim(prog, cfg, &o3Mem);
+    ASSERT_TRUE(r.halted) << what;
+    EXPECT_EQ(r.insts, emu.instret()) << what;
+    for (unsigned reg = 0; reg < NumArchRegs; ++reg)
+        ASSERT_EQ(r.archRegs[reg], emu.reg(static_cast<ArchReg>(reg)))
+            << what << " reg " << isa::regName(static_cast<ArchReg>(reg));
+    ASSERT_TRUE(o3Mem.equals(refMem)) << what;
+}
+
 } // namespace
 
 class RandomCosim : public ::testing::TestWithParam<std::uint64_t>
@@ -153,26 +175,40 @@ class RandomCosim : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(RandomCosim, ArchitecturallyInvisible)
 {
     const std::uint64_t seed = GetParam();
-    const isa::Program prog = randomProgram(seed);
-    const SimConfig cfg = randomConfig(seed);
-
-    Memory refMem;
-    FuncEmu emu(prog, refMem);
-    emu.run(10'000'000);
-    ASSERT_TRUE(emu.halted());
-
-    SimConfig traced = cfg;
-    CosimTriage triage("seed " + std::to_string(seed), traced);
-    Memory o3Mem;
-    const RunResult r = runSim(prog, traced, &o3Mem);
-    ASSERT_TRUE(r.halted) << "seed " << seed;
-    EXPECT_EQ(r.insts, emu.instret()) << "seed " << seed;
-    for (unsigned reg = 0; reg < NumArchRegs; ++reg)
-        ASSERT_EQ(r.archRegs[reg], emu.reg(static_cast<ArchReg>(reg)))
-            << "seed " << seed << " reg "
-            << isa::regName(static_cast<ArchReg>(reg));
-    ASSERT_TRUE(o3Mem.equals(refMem)) << "seed " << seed;
+    expectOracleMatch(randomProgram(seed), randomConfig(seed),
+                      "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCosim,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+/**
+ * The Figure-10 upper bound on random programs: RGID 4x256 and 4x1024
+ * (4W squash-log entries per stream) with the remaining reuse knobs
+ * drawn from the seed. randomConfig() stops at 32 WPB blocks; these
+ * are the sizes whose reconvergence check scans the filled prefix
+ * directly instead of through the 64-wide aligner masks.
+ */
+class UpperBoundRandomCosim
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
+{
+};
+
+TEST_P(UpperBoundRandomCosim, ArchitecturallyInvisible)
+{
+    const auto [seed, wpbBlocks] = GetParam();
+    Rng rng(seed * 131 + 17);
+    SimConfig cfg = rgidConfig(4, 4 * wpbBlocks);
+    cfg.reuse.useBloomFilter = rng.chance(0.3);
+    cfg.reuse.reuseLoads = rng.chance(0.8);
+    cfg.reuse.restrictVpn = rng.chance(0.5);
+    cfg.reuse.reconvTimeoutInsts = 64 << rng.below(5);
+    expectOracleMatch(randomProgram(seed), cfg,
+                      "seed " + std::to_string(seed) + " rgid 4x" +
+                          std::to_string(wpbBlocks));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig10, UpperBoundRandomCosim,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
+                       ::testing::Values(256u, 1024u)));

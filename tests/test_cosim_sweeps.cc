@@ -70,6 +70,41 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(16u, 64u, 128u)));
 
 // ---------------------------------------------------------------------
+// Sweep 1b: the Figure-10 upper bound. RGID 4x256 and 4x1024 are the
+// only configurations with more than 64 WPB blocks per stream, so the
+// only ones whose reconvergence check takes ReconvDetector's direct
+// scan of the filled prefix instead of the aligner masks.
+
+class RgidUpperBoundCosim
+    : public ::testing::TestWithParam<std::tuple<std::string, unsigned>>
+{
+};
+
+TEST_P(RgidUpperBoundCosim, ArchitecturallyInvisible)
+{
+    const auto [name, wpbBlocks] = GetParam();
+    workloads::WorkloadScale scale;
+    scale.iterations = 200;
+    scale.graphScale = 6;
+    const isa::Program prog = workloads::buildWorkload(name, scale);
+    expectMatch(prog, rgidConfig(4, 4 * wpbBlocks),
+                name + " rgid 4x" + std::to_string(wpbBlocks));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig10, RgidUpperBoundCosim,
+    ::testing::Combine(::testing::Values("nested-mispred", "linear-mispred",
+                                         "xz", "leela", "bc"),
+                       ::testing::Values(256u, 1024u)),
+    [](const auto &info) {
+        std::string name = std::get<0>(info.param);
+        for (auto &c : name)
+            if (c == '-')
+                c = '_';
+        return name + "_4x" + std::to_string(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------
 // Sweep 2: Register Integration table geometries.
 
 class RiSizingCosim

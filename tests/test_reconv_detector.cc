@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "reuse/reconv_detector.hh"
+#include "reuse/wpb.hh"
 
 using namespace mssr;
 
@@ -15,6 +16,7 @@ makeStream(std::initializer_list<std::pair<Addr, Addr>> blocks,
     stream.valid = true;
     for (auto [s, e] : blocks)
         stream.entries.push_back(WpbEntry{true, s, e});
+    stream.numFilled = static_cast<unsigned>(stream.entries.size());
     // Pad to a fixed size with invalid entries as the hardware would.
     while (stream.entries.size() < 8)
         stream.entries.push_back(WpbEntry{});
@@ -146,4 +148,79 @@ TEST(ReconvDetector, InvalidStreamNeverMatches)
     WpbStream s = makeStream({{0x1000, 0x101c}});
     s.valid = false;
     EXPECT_FALSE(ReconvDetector::match(s, 0x1000, 0x101c, false).found);
+}
+
+namespace
+{
+
+/** @p n single-instruction blocks 0x10 bytes apart from @p base. */
+std::vector<WpbEntry>
+spacedBlocks(Addr base, unsigned n)
+{
+    std::vector<WpbEntry> out;
+    for (unsigned i = 0; i < n; ++i)
+        out.push_back(WpbEntry{true, base + i * 0x10, base + i * 0x10});
+    return out;
+}
+
+} // namespace
+
+TEST(ReconvDetector, ShorterRewriteNeverHitsStaleBlocks)
+{
+    // M > 64 takes the direct-scan path. A long stream followed by a
+    // shorter one in the same slot leaves the old tail in storage;
+    // only the new filled prefix may match.
+    for (unsigned m : {65u, 256u, 1024u}) {
+        Wpb wpb(1, m, false);
+        wpb.writeStream(spacedBlocks(0x10000, m), 1, 1);
+        const Addr tail = 0x10000 + (m - 1) * 0x10;
+        ReconvHit hit =
+            ReconvDetector::match(wpb.stream(0), tail, tail, false);
+        ASSERT_TRUE(hit.found) << m;
+        EXPECT_EQ(hit.entryIdx, m - 1) << m;
+        EXPECT_EQ(hit.instOffset, m - 1) << m;
+
+        wpb.writeStream(spacedBlocks(0x80000, 3), 2, 2);
+        EXPECT_EQ(wpb.stream(0).numFilled, 3u) << m;
+        // Every block of the old stream is now stale.
+        for (unsigned i = 0; i < m; ++i) {
+            const Addr pc = 0x10000 + i * 0x10;
+            EXPECT_FALSE(
+                ReconvDetector::match(wpb.stream(0), pc, pc, false).found)
+                << m << " block " << i;
+        }
+        hit = ReconvDetector::match(wpb.stream(0), 0x80020, 0x8003c, false);
+        ASSERT_TRUE(hit.found) << m;
+        EXPECT_EQ(hit.entryIdx, 2u) << m;
+        EXPECT_EQ(hit.instOffset, 2u) << m;
+        // Past the new prefix: nothing.
+        EXPECT_FALSE(
+            ReconvDetector::match(wpb.stream(0), 0x80030, 0x80100, false)
+                .found)
+            << m;
+    }
+}
+
+TEST(ReconvDetector, LargeBufferAgreesWithAlignerPath)
+{
+    // The same blocks in a 64-entry (aligner masks) and a 256-entry
+    // (direct scan) stream give the same hit for every head block.
+    Wpb small(1, 64, false), large(1, 256, false);
+    const std::vector<WpbEntry> blocks = {
+        {true, 0x1000, 0x101c}, {true, 0x2000, 0x2004},
+        {true, 0x1008, 0x1010}, {true, 0x3000, 0x301c}};
+    small.writeStream(blocks, 1, 1);
+    large.writeStream(blocks, 1, 1);
+    for (Addr start = 0x0ff0; start < 0x3040; start += 4) {
+        const ReconvHit a =
+            ReconvDetector::match(small.stream(0), start, start + 0x1c,
+                                  false);
+        const ReconvHit b =
+            ReconvDetector::match(large.stream(0), start, start + 0x1c,
+                                  false);
+        ASSERT_EQ(a.found, b.found) << std::hex << start;
+        EXPECT_EQ(a.entryIdx, b.entryIdx) << std::hex << start;
+        EXPECT_EQ(a.reconvPC, b.reconvPC) << std::hex << start;
+        EXPECT_EQ(a.instOffset, b.instOffset) << std::hex << start;
+    }
 }

@@ -77,3 +77,46 @@ TEST(SquashLog, EntryFieldsRoundTrip)
     EXPECT_EQ(r.destPreg, 42u);
     EXPECT_TRUE(r.executed);
 }
+
+TEST(SquashLog, RefillAfterClearCarriesNoStaleFlags)
+{
+    // clearStream() resets only the logged prefix. Entries refilled
+    // after a clear must not inherit the lifecycle flags of the
+    // entries they replace.
+    SquashLog log(1, 8);
+    for (unsigned i = 0; i < 5; ++i) {
+        SquashLogEntry e;
+        e.pc = 0x1000 + 4 * i;
+        log.append(0, e);
+        SquashLogEntry &stored = log.stream(0).entries[i];
+        stored.covered = stored.tested = true;
+        stored.consumed = stored.reserved = true;
+        stored.executed = true;
+    }
+    log.clearStream(0);
+    EXPECT_EQ(log.stream(0).numEntries, 0u);
+    EXPECT_DOUBLE_EQ(log.occupancy(), 0.0);
+    for (unsigned i = 0; i < 5; ++i) {
+        const SquashLogEntry &e = log.stream(0).entries[i];
+        EXPECT_FALSE(e.valid || e.covered || e.tested || e.consumed ||
+                     e.reserved || e.executed)
+            << i;
+    }
+
+    SquashLogEntry fresh;
+    fresh.pc = 0x2000;
+    EXPECT_TRUE(log.append(0, fresh));
+    EXPECT_TRUE(log.append(0, fresh));
+    EXPECT_EQ(log.stream(0).numEntries, 2u);
+    for (unsigned i = 0; i < 2; ++i) {
+        const SquashLogEntry &e = log.stream(0).entries[i];
+        EXPECT_TRUE(e.valid) << i;
+        EXPECT_EQ(e.pc, 0x2000u) << i;
+        EXPECT_FALSE(e.covered) << i;
+        EXPECT_FALSE(e.tested) << i;
+        EXPECT_FALSE(e.consumed) << i;
+        EXPECT_FALSE(e.reserved) << i;
+        EXPECT_FALSE(e.executed) << i;
+    }
+    EXPECT_DOUBLE_EQ(log.occupancy(), 2.0 / 8.0);
+}

@@ -79,3 +79,32 @@ TEST(Wpb, StreamInstCount)
     wpb.writeStream(ranges({{0x1000, 0x1004}, {0x2000, 0x2000}}), 1, 1);
     EXPECT_EQ(wpb.stream(0).numInsts(), 3u);
 }
+
+TEST(Wpb, ShorterRewriteShrinksFilledPrefix)
+{
+    // M > 64: a long stream, then a shorter one into the same slot.
+    // The valid entries must be exactly the new prefix; the old tail
+    // is invalid and counts toward neither numInsts nor occupancy.
+    Wpb wpb(1, 128, false);
+    std::vector<WpbEntry> longRanges;
+    for (unsigned i = 0; i < 100; ++i)
+        longRanges.push_back(
+            WpbEntry{true, 0x4000 + i * 0x20, 0x401c + i * 0x20});
+    wpb.writeStream(longRanges, 1, 1);
+    EXPECT_EQ(wpb.stream(0).numFilled, 100u);
+    EXPECT_EQ(wpb.stream(0).numInsts(), 800u);
+
+    wpb.writeStream(ranges({{0x9000, 0x9004}, {0x9100, 0x9100}}), 2, 2);
+    const WpbStream &s = wpb.stream(0);
+    EXPECT_EQ(s.numFilled, 2u);
+    EXPECT_EQ(s.numInsts(), 3u);
+    EXPECT_DOUBLE_EQ(wpb.occupancy(), 2.0 / 128.0);
+    for (unsigned i = 0; i < 128; ++i)
+        EXPECT_EQ(s.entries[i].valid, i < 2) << i;
+
+    wpb.invalidate(0);
+    EXPECT_EQ(wpb.stream(0).numFilled, 0u);
+    EXPECT_EQ(wpb.stream(0).numInsts(), 0u);
+    EXPECT_FALSE(wpb.stream(0).entries[0].valid);
+    EXPECT_DOUBLE_EQ(wpb.occupancy(), 0.0);
+}

@@ -15,6 +15,9 @@ directory and drives the tracker end to end:
      object with the matching verdict ("ok" / "regression" /
      "skipped"), per-metric deltas and failed flags, and the same exit
      code as the text mode.
+  6. `append` a sampled_accuracy report; its entry is summarized from
+     that variant's own fields (total_insts, detail_host_sec,
+     scan_host_sec), not to zeros.
 
 Usage: check_bench_track.py --tracker PATH_TO_mssr_bench_track
 """
@@ -41,6 +44,26 @@ def make_report(path, bench, wall, per_job_host):
               "wall_sec": wall,
               "build_info": {"git": "testrev", "compiler": "test",
                              "build_type": "Release"},
+              "results": results}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(report, f)
+
+
+def make_sampled_report(path):
+    results = [
+        {"name": "fig10/4x64/job%d" % i, "full_ipc": 1.5,
+         "full_host_sec": 2.0, "sampled_ipc": 1.49, "windows": 5,
+         "total_insts": 250000, "detail_host_sec": 0.25,
+         "scan_host_sec": 0.25, "speedup": 4.0, "covered": True,
+         "ipc_estimate": {"n": 5, "mean": 1.49, "stderr": 0.01,
+                          "ci95": 0.02}}
+        for i in range(4)
+    ]
+    report = {"bench": "sampled_accuracy", "threads": 1,
+              "build_info": {"git": "testrev", "compiler": "test",
+                             "build_type": "Release"},
+              "sample_period": 50000, "sample_window": 2000,
+              "jobs": 2 * len(results), "wall_sec": 9.0,
               "results": results}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report, f)
@@ -147,6 +170,22 @@ def main():
         obj = check_json("json skipped", "other.json", [], 0, "skipped")
         if obj and obj.get("metrics") != {}:
             failures.append("json skipped: metrics %r" % obj.get("metrics"))
+
+        make_sampled_report(os.path.join(scratch, "sampled.json"))
+        rc, out = run(tracker, ["append", "sampled.json",
+                                "--history", "sampled.jsonl"], scratch)
+        expect("append sampled", 0, rc, out,
+               "appended sampled_accuracy @ testrev")
+        with open(os.path.join(scratch, "sampled.jsonl")) as f:
+            lines = [json.loads(l) for l in f if l.strip()]
+        want = {"bench": "sampled_accuracy", "jobs": 8, "wall_sec": 9.0,
+                "total_insts": 1000000, "host_sec_sum": 2.0,
+                "phase_detail_sec_sum": 1.0, "agg_kips": 500.0}
+        for k, v in want.items():
+            got = lines[-1].get(k) if lines else None
+            if got != v:
+                failures.append("append sampled: entry[%r] == %r, wanted %r"
+                                % (k, got, v))
 
     if failures:
         print("bench-track self-test failed (%d):" % len(failures))
