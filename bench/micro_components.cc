@@ -10,6 +10,7 @@
 
 #include "bpu/tage.hh"
 #include "common/rng.hh"
+#include "common/serialize.hh"
 #include "core/free_list.hh"
 #include "core/issue_queue.hh"
 #include "driver/sim_runner.hh"
@@ -17,7 +18,11 @@
 #include "reuse/bloom.hh"
 #include "reuse/reconv_detector.hh"
 #include "reuse/squash_log.hh"
+#include "sim/checkpoint.hh"
+#include "sim/func_emu.hh"
+#include "sim/memory.hh"
 #include "workloads/micro.hh"
+#include "workloads/registry.hh"
 
 using namespace mssr;
 
@@ -61,6 +66,102 @@ BM_TageLookup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TageLookup);
+
+/**
+ * The conditional-branch outcomes of a real workload (the last 4096
+ * leela branches at scale 6), recorded once by the functional model.
+ */
+const std::vector<BranchOutcome> &
+recordedBranches()
+{
+    static const std::vector<BranchOutcome> stream = [] {
+        workloads::WorkloadScale scale;
+        scale.graphScale = 6;
+        scale.iterations = 2000;
+        const isa::Program prog = workloads::buildWorkload("leela", scale);
+        Memory mem;
+        prog.loadInto(mem);
+        FuncEmu emu(prog, mem);
+        BranchHistory hist;
+        emu.recordBranches(&hist);
+        emu.run();
+        std::vector<BranchOutcome> conds;
+        for (const BranchOutcome &b : hist.inOrder())
+            if (prog.instAt(b.pc).isCondBranch())
+                conds.push_back(b);
+        return conds;
+    }();
+    return stream;
+}
+
+/**
+ * One branch's full predictor traffic: predict, speculative history
+ * shift and commit-time training. Unlike BM_TageLookup the history
+ * moves every branch, so this sees the cost of a shift too.
+ */
+void
+BM_TagePredictUpdate(benchmark::State &state)
+{
+    const std::vector<BranchOutcome> &stream = recordedBranches();
+    TagePredictor tage;
+    auto step = [&tage](const BranchOutcome &b) {
+        const bool pred = tage.predict(b.pc);
+        tage.specUpdate(b.pc, b.taken);
+        tage.commitUpdate(b.pc, b.taken);
+        return pred;
+    };
+    // Train to a steady state first, so the cost per branch does not
+    // depend on how many iterations the framework picks.
+    for (int rep = 0; rep < 64; ++rep)
+        for (const BranchOutcome &b : stream)
+            step(b);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(step(stream[i]));
+        i = i + 1 == stream.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TagePredictUpdate);
+
+/** Checkpoint section CRC over a 1 MiB buffer. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(std::size_t(1) << 20);
+    Rng rng(3);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/**
+ * Program::hash() of a GAP graph image (bc at scale 12, the paper's
+ * -g 12). Arg 0 (cold) invalidates the memo before every call, arg 1
+ * (memoized) hashes the unchanged program again.
+ */
+void
+BM_ProgramHash(benchmark::State &state)
+{
+    workloads::WorkloadScale scale;
+    scale.graphScale = 12;
+    isa::Program prog = workloads::buildWorkload("bc", scale);
+    const bool cold = state.range(0) == 0;
+    for (auto _ : state) {
+        if (cold)
+            prog.setEntry(prog.entry());
+        benchmark::DoNotOptimize(prog.hash());
+    }
+    std::size_t bytes = prog.numInsts() * 24;
+    for (const auto &chunk : prog.dataChunks())
+        bytes += chunk.second.size();
+    state.counters["imageBytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_ProgramHash)->ArgName("memoized")->Arg(0)->Arg(1);
 
 /**
  * One mispredict capture into a recycled squash-log stream: clear the

@@ -14,6 +14,15 @@ StatisticalCorrector::StatisticalCorrector(unsigned table_bits,
         table.resize(std::size_t(1) << tableBits_, 0);
 }
 
+void
+StatisticalCorrector::useFoldedHistory(
+    const std::function<unsigned(unsigned, unsigned)> &track)
+{
+    foldSlots_.clear();
+    for (unsigned len : histLens_) // the bias table (len 0) never folds
+        foldSlots_.push_back(len > 0 ? track(len, tableBits_) : 0);
+}
+
 std::size_t
 StatisticalCorrector::index(Addr pc, bool tage_pred,
                             const GlobalHistory &hist, unsigned table) const
@@ -23,7 +32,8 @@ StatisticalCorrector::index(Addr pc, bool tage_pred,
                         (tage_pred ? 0x155 : 0) ^
                         (std::uint64_t(table) * 0x9e3);
     if (histLens_[table] > 0)
-        idx ^= hist.fold(histLens_[table], tableBits_);
+        idx ^= foldSlots_.empty() ? hist.fold(histLens_[table], tableBits_)
+                                  : hist.folded(foldSlots_[table]);
     return idx & mask(tableBits_);
 }
 

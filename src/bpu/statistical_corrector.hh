@@ -9,6 +9,7 @@
 #define MSSR_BPU_STATISTICAL_CORRECTOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bpu/predictor.hh"
@@ -47,12 +48,22 @@ class StatisticalCorrector
     void train(Addr pc, bool tage_pred, bool taken,
                const GlobalHistory &hist);
 
+    /**
+     * Reads the history folds from folded registers: @p track is
+     * called once per table with (history length, bits) and returns
+     * the GlobalHistory slot every history passed in later tracks that
+     * pair in. Without it the corrector folds the words on each read.
+     */
+    void useFoldedHistory(
+        const std::function<unsigned(unsigned, unsigned)> &track);
+
   private:
     std::size_t index(Addr pc, bool tage_pred, const GlobalHistory &hist,
                       unsigned table) const;
 
     unsigned tableBits_;
     std::vector<unsigned> histLens_;
+    std::vector<unsigned> foldSlots_; //!< per table; empty = fold()
     std::vector<std::vector<std::int8_t>> tables_; //!< 6-bit signed
     int threshold_ = 5;
 };

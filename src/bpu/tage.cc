@@ -1,5 +1,7 @@
 #include "bpu/tage.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace mssr
@@ -15,43 +17,42 @@ TagePredictor::TagePredictor(const TageConfig &cfg)
     tables_.resize(cfg_.histLens.size());
     for (auto &table : tables_)
         table.resize(std::size_t(1) << cfg_.tableBits);
+    for (unsigned len : cfg_.histLens)
+        slots_.push_back({trackFold(len, cfg_.tableBits),
+                          trackFold(len, cfg_.tagBits),
+                          trackFold(len, cfg_.tagBits - 1)});
 }
 
-std::uint32_t
-TagePredictor::tableIndex(Addr pc, const GlobalHistory &hist,
-                          unsigned table) const
+unsigned
+TagePredictor::trackFold(unsigned hist_len, unsigned out_bits)
 {
-    const std::uint64_t folded =
-        hist.fold(cfg_.histLens[table], cfg_.tableBits);
-    const std::uint64_t pcbits = pc / InstBytes;
-    return static_cast<std::uint32_t>(
-        (pcbits ^ (pcbits >> cfg_.tableBits) ^ folded ^
-         (std::uint64_t(table) * 0x9e37)) & mask(cfg_.tableBits));
-}
-
-std::uint16_t
-TagePredictor::tableTag(Addr pc, const GlobalHistory &hist,
-                        unsigned table) const
-{
-    const std::uint64_t folded =
-        hist.fold(cfg_.histLens[table], cfg_.tagBits);
-    const std::uint64_t folded2 =
-        hist.fold(cfg_.histLens[table], cfg_.tagBits - 1) << 1;
-    const std::uint64_t pcbits = pc / InstBytes;
-    return static_cast<std::uint16_t>(
-        (pcbits ^ folded ^ folded2) & mask(cfg_.tagBits));
+    const unsigned slot = specHist_.track(hist_len, out_bits);
+    mssr_assert(retiredHist_.track(hist_len, out_bits) == slot,
+                "TAGE histories track different folds");
+    return slot;
 }
 
 TageLookup
 TagePredictor::lookup(Addr pc, const GlobalHistory &hist) const
 {
+    mssr_assert(&hist == &specHist_ || &hist == &retiredHist_,
+                "TAGE lookup needs one of the predictor's own histories");
     TageLookup look;
     const unsigned n = static_cast<unsigned>(tables_.size());
     look.baseIndex = (pc / InstBytes) & (base_.size() - 1);
 
+    const std::uint64_t pcbits = pc / InstBytes;
+    const std::uint64_t indexBase = pcbits ^ (pcbits >> cfg_.tableBits);
+    const std::uint64_t indexMask = mask(cfg_.tableBits);
+    const std::uint64_t tagMask = mask(cfg_.tagBits);
     for (unsigned t = 0; t < n; ++t) {
-        look.indices[t] = tableIndex(pc, hist, t);
-        look.tags[t] = tableTag(pc, hist, t);
+        const FoldSlots &slots = slots_[t];
+        look.indices[t] = static_cast<std::uint32_t>(
+            (indexBase ^ hist.folded(slots.index) ^
+             (std::uint64_t(t) * 0x9e37)) & indexMask);
+        look.tags[t] = static_cast<std::uint16_t>(
+            (pcbits ^ hist.folded(slots.tag) ^
+             (hist.folded(slots.tag2) << 1)) & tagMask);
     }
     // Longest-history match provides; next match is the alternate.
     for (int t = static_cast<int>(n) - 1; t >= 0; --t) {
@@ -104,16 +105,17 @@ PredSnapshot
 TagePredictor::snapshot() const
 {
     PredSnapshot snap;
-    for (unsigned i = 0; i < 4; ++i)
-        snap.words[i] = specHist_.word(i);
+    const HistoryWords &words = specHist_.words();
+    std::copy(words.begin(), words.end(), snap.words.begin());
     return snap;
 }
 
 void
 TagePredictor::restore(const PredSnapshot &snap)
 {
-    for (unsigned i = 0; i < 4; ++i)
-        specHist_.setWord(i, snap.words[i]);
+    HistoryWords words;
+    std::copy_n(snap.words.begin(), words.size(), words.begin());
+    specHist_.restore(words);
 }
 
 void

@@ -59,10 +59,18 @@ class TagePredictor : public DirPredictor
     void commitUpdate(Addr pc, bool taken) override;
 
     /**
-     * Performs the full table walk against an explicit history;
-     * exposed so TAGE-SC-L can reuse the lookup for the corrector.
+     * Performs the full table walk against @p hist, which must be
+     * specHist() or retiredHist() (their folded registers supply the
+     * indices and tags); exposed so TAGE-SC-L can reuse the lookup
+     * for the corrector.
      */
     TageLookup lookup(Addr pc, const GlobalHistory &hist) const;
+
+    /**
+     * Tracks fold(@p hist_len, @p out_bits) on both histories and
+     * returns its slot (the same on both) for GlobalHistory::folded().
+     */
+    unsigned trackFold(unsigned hist_len, unsigned out_bits);
 
     /** Trains from a completed lookup (used by TAGE-SC-L). */
     void train(Addr pc, bool taken, const TageLookup &look);
@@ -81,12 +89,16 @@ class TagePredictor : public DirPredictor
         std::uint8_t useful = 0;   //!< 2-bit
     };
 
-    std::uint32_t tableIndex(Addr pc, const GlobalHistory &hist,
-                             unsigned table) const;
-    std::uint16_t tableTag(Addr pc, const GlobalHistory &hist,
-                           unsigned table) const;
+    /** Folded-history slots of one table's index, tag and tag-1 folds. */
+    struct FoldSlots
+    {
+        unsigned index = 0;
+        unsigned tag = 0;
+        unsigned tag2 = 0;
+    };
 
     TageConfig cfg_;
+    std::vector<FoldSlots> slots_;      //!< per table
     std::vector<std::vector<Entry>> tables_;
     std::vector<std::uint8_t> base_;    //!< 2-bit counters
     GlobalHistory specHist_;

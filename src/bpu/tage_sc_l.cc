@@ -3,7 +3,15 @@
 namespace mssr
 {
 
-TageScLPredictor::TageScLPredictor(const TageConfig &cfg) : tage_(cfg) {}
+TageScLPredictor::TageScLPredictor(const TageConfig &cfg) : tage_(cfg)
+{
+    // The corrector reads TAGE's histories, so its folds live in the
+    // same registers (with the default sizes they coincide with
+    // TAGE's index folds).
+    sc_.useFoldedHistory([this](unsigned len, unsigned bits) {
+        return tage_.trackFold(len, bits);
+    });
+}
 
 bool
 TageScLPredictor::predict(Addr pc)

@@ -13,21 +13,38 @@ namespace mssr
 namespace
 {
 
-/** Lazily built CRC-32 lookup table (reflected 0xEDB88320). */
-const std::array<std::uint32_t, 256> &
-crcTable()
+/**
+ * Slicing-by-8 CRC-32 tables (reflected 0xEDB88320). Table 0 is the
+ * classic bytewise table; table k advances a byte's contribution by k
+ * further zero bytes, so eight tables fold eight input bytes per step.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables &
+crcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < 8; ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
         return t;
     }();
-    return table;
+    return tables;
+}
+
+/** Little-endian 32-bit load (one mov on little-endian hosts). */
+inline std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 constexpr std::size_t MagicBytes = 8;
@@ -41,10 +58,18 @@ constexpr std::size_t SectionTrailerBytes = 4;
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t n)
 {
-    const auto &table = crcTable();
+    const CrcTables &t = crcTables();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; n -= 8, data += 8) {
+        const std::uint32_t lo = c ^ loadLe32(data);
+        const std::uint32_t hi = loadLe32(data + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+            t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++data)
+        c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

@@ -40,7 +40,10 @@ class SerializeError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). */
+/**
+ * CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant), computed
+ * eight bytes per step (slicing-by-8); the value is the bytewise one.
+ */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t n);
 
 /**

@@ -32,6 +32,7 @@ Program::append(const Inst &inst)
 {
     const Addr pc = codeEnd();
     insts_.push_back(inst);
+    hash_.reset();
     return pc;
 }
 
@@ -74,6 +75,7 @@ Program::allocData(const std::string &name, std::size_t bytes,
 void
 Program::writeData(Addr addr, const std::uint8_t *bytes, std::size_t n)
 {
+    hash_.reset();
     auto &chunk = dataChunks_[addr];
     if (chunk.size() < n)
         chunk.resize(n);
@@ -131,6 +133,17 @@ fnv1a(std::uint64_t &h, std::uint64_t v)
 
 std::uint64_t
 Program::hash() const
+{
+    std::uint64_t h;
+    if (!hash_.get(h)) {
+        h = computeHash();
+        hash_.set(h);
+    }
+    return h;
+}
+
+std::uint64_t
+Program::computeHash() const
 {
     std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
     fnv1a(h, codeBase_);

@@ -8,6 +8,7 @@
 #ifndef MSSR_ISA_PROGRAM_HH
 #define MSSR_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,7 +52,12 @@ class Program
     /// @{
     Addr codeBase() const { return codeBase_; }
     Addr entry() const { return entry_; }
-    void setEntry(Addr pc) { entry_ = pc; }
+    void
+    setEntry(Addr pc)
+    {
+        entry_ = pc;
+        hash_.reset();
+    }
 
     std::size_t numInsts() const { return insts_.size(); }
     Addr codeEnd() const { return codeBase_ + insts_.size() * InstBytes; }
@@ -134,10 +140,63 @@ class Program
      * checkpoint taken from one program is only valid for a program
      * with the same hash. Labels are excluded (they are assembler
      * metadata, not machine state).
+     *
+     * Computed once and memoized: every mutator of the hashed state
+     * (append, setEntry, initData64, initBytes) drops the memo, and
+     * copies carry it. Safe to call from many threads on one shared
+     * const Program.
      */
     std::uint64_t hash() const;
 
   private:
+    /**
+     * The memoized hash. Atomic so concurrent hash() calls on a
+     * shared program are race-free (at worst two threads both compute
+     * the same value); copyable so Program stays a value type.
+     */
+    class HashMemo
+    {
+      public:
+        HashMemo() = default;
+        HashMemo(const HashMemo &other) { *this = other; }
+
+        HashMemo &
+        operator=(const HashMemo &other)
+        {
+            std::uint64_t v;
+            if (other.get(v))
+                set(v);
+            else
+                reset();
+            return *this;
+        }
+
+        /** True (and @p out set) when a value is memoized. */
+        bool
+        get(std::uint64_t &out) const
+        {
+            if (!valid_.load())
+                return false;
+            out = value_.load();
+            return true;
+        }
+
+        void
+        set(std::uint64_t v) const
+        {
+            value_.store(v);
+            valid_.store(true);
+        }
+
+        void reset() { valid_.store(false); }
+
+      private:
+        mutable std::atomic<std::uint64_t> value_{0};
+        mutable std::atomic<bool> valid_{false};
+    };
+
+    std::uint64_t computeHash() const;
+
     Addr codeBase_;
     Addr entry_;
     Addr dataBase_;
@@ -146,6 +205,7 @@ class Program
     std::vector<Inst> insts_;
     std::map<std::string, Addr> labels_;
     std::map<Addr, std::vector<std::uint8_t>> dataChunks_;
+    HashMemo hash_;
 
     /** Merges @p bytes at @p addr into the data image. */
     void writeData(Addr addr, const std::uint8_t *bytes, std::size_t n);

@@ -96,8 +96,21 @@ TEST(Tage, RandomIsUnpredictable)
 TEST(Tage, SnapshotRestoreRoundTrip)
 {
     TagePredictor pred;
-    for (int i = 0; i < 50; ++i)
+    TagePredictor twin; // sees the same branches but never diverges
+    Rng rng(11);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr pc = 0x100 + 4 * (rng.next() % 32);
+        const bool taken = i % 3 == 0 || rng.chance(0.2);
+        for (TagePredictor *p : {&pred, &twin}) {
+            p->predict(pc);
+            p->specUpdate(pc, taken);
+            p->commitUpdate(pc, taken);
+        }
+    }
+    for (int i = 0; i < 50; ++i) {
         pred.specUpdate(0x100, i % 3 == 0);
+        twin.specUpdate(0x100, i % 3 == 0);
+    }
     const PredSnapshot snap = pred.snapshot();
     const bool before = pred.predict(0x100);
     // Pollute speculative history (wrong path), then restore.
@@ -105,6 +118,48 @@ TEST(Tage, SnapshotRestoreRoundTrip)
         pred.specUpdate(0x104, true);
     pred.restore(snap);
     EXPECT_EQ(pred.predict(0x100), before);
+
+    // From here on the restored predictor is indistinguishable from
+    // the twin: its folded history registers were rebuilt exactly.
+    for (int i = 0; i < 2000; ++i) {
+        const Addr pc = 0x100 + 4 * (rng.next() % 64);
+        const bool taken = rng.chance(0.6);
+        ASSERT_EQ(pred.predict(pc), twin.predict(pc)) << "branch " << i;
+        pred.specUpdate(pc, taken);
+        twin.specUpdate(pc, taken);
+        pred.commitUpdate(pc, taken);
+        twin.commitUpdate(pc, taken);
+    }
+}
+
+TEST(TageScL, SnapshotRestoreMatchesANeverDivergedTwin)
+{
+    TageScLPredictor pred;
+    TageScLPredictor twin;
+    Rng rng(12);
+    for (int i = 0; i < 2000; ++i) {
+        const Addr pc = 0x200 + 4 * (rng.next() % 32);
+        const bool taken = rng.chance(0.7);
+        for (TageScLPredictor *p : {&pred, &twin}) {
+            p->predict(pc);
+            p->specUpdate(pc, taken);
+            p->commitUpdate(pc, taken);
+        }
+    }
+    const PredSnapshot snap = pred.snapshot();
+    for (int i = 0; i < 40; ++i)
+        pred.specUpdate(0x300, i % 2 == 0);
+    pred.restore(snap);
+    twin.restore(snap); // the loop predictor resyncs the same way
+    for (int i = 0; i < 2000; ++i) {
+        const Addr pc = 0x200 + 4 * (rng.next() % 32);
+        const bool taken = rng.chance(0.7);
+        ASSERT_EQ(pred.predict(pc), twin.predict(pc)) << "branch " << i;
+        for (TageScLPredictor *p : {&pred, &twin}) {
+            p->specUpdate(pc, taken);
+            p->commitUpdate(pc, taken);
+        }
+    }
 }
 
 TEST(TageScL, LoopPredictorCapturesFixedTripLoops)
@@ -173,6 +228,28 @@ TEST(StatisticalCorrector, LearnsDisagreement)
     EXPECT_FALSE(sc.shouldRevert(pc, true, false, hist));
 }
 
+TEST(StatisticalCorrector, FoldedRegistersMatchFoldingTheWords)
+{
+    GlobalHistory hist;
+    StatisticalCorrector folded;
+    StatisticalCorrector plain; // folds the history words on each read
+    folded.useFoldedHistory([&hist](unsigned len, unsigned bits) {
+        return hist.track(len, bits);
+    });
+    Rng rng(14);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr pc = 0x400 + 4 * (rng.next() % 64);
+        const bool tagePred = rng.chance(0.5);
+        const bool taken = rng.chance(0.5);
+        ASSERT_EQ(folded.confidence(pc, tagePred, hist),
+                  plain.confidence(pc, tagePred, hist))
+            << "branch " << i;
+        folded.train(pc, tagePred, taken, hist);
+        plain.train(pc, tagePred, taken, hist);
+        hist.shift(taken);
+    }
+}
+
 TEST(GlobalHistory, FoldStability)
 {
     GlobalHistory a, b;
@@ -184,4 +261,50 @@ TEST(GlobalHistory, FoldStability)
     a.shift(true);
     b.shift(false);
     EXPECT_NE(a.fold(4, 10), b.fold(4, 10));
+}
+
+TEST(FoldedHistory, EqualsFoldOverRandomShiftsAndRestores)
+{
+    // Every (len, bits) pair, including lengths that end mid-word, at
+    // a word boundary, past one word, and the full (and over-full)
+    // register.
+    const unsigned lens[] = {0, 1, 4, 63, 64, 65, 127, 128, 200, 256, 300};
+    GlobalHistory hist;
+    struct Tracked
+    {
+        unsigned len, bits, slot;
+    };
+    std::vector<Tracked> tracked;
+    Rng rng(13);
+    for (int i = 0; i < 70; ++i) // start from a non-empty history
+        hist.shift(rng.chance(0.5));
+    for (unsigned len : lens)
+        for (unsigned bits = 1; bits <= 13; ++bits)
+            tracked.push_back({len, bits, hist.track(len, bits)});
+    // Tracking a pair twice hands out the same register.
+    EXPECT_EQ(hist.track(64, 10), hist.track(64, 10));
+
+    auto check = [&](int step) {
+        for (const Tracked &t : tracked)
+            ASSERT_EQ(hist.folded(t.slot), hist.fold(t.len, t.bits))
+                << "len " << t.len << " bits " << t.bits << " step " << step;
+    };
+    check(-1);
+    HistoryWords saved = hist.words();
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t r = rng.next();
+        if (r % 50 == 0) {
+            hist.restore(saved); // squash back to an older history
+        } else if (r % 50 == 1) {
+            HistoryWords words;
+            for (auto &w : words)
+                w = rng.next();
+            hist.restore(words);
+        } else {
+            hist.shift((r >> 8) & 1);
+        }
+        if (r % 7 == 0)
+            saved = hist.words();
+        check(step);
+    }
 }

@@ -75,6 +75,33 @@ TEST(Serialize, Crc32MatchesIeeeReferenceVector)
     EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+TEST(Serialize, Crc32MatchesBytewiseReference)
+{
+    // The textbook one-bit-at-a-time CRC-32, against the eight-bytes-
+    // per-step one at every length around the 8-byte blocks and every
+    // start alignment.
+    const auto reference = [](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        return c ^ 0xFFFFFFFFu;
+    };
+    std::vector<std::uint8_t> buf(320);
+    std::uint32_t x = 12345;
+    for (auto &b : buf) {
+        x = x * 1103515245u + 12345u;
+        b = static_cast<std::uint8_t>(x >> 16);
+    }
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t n = 0; n <= 300; ++n)
+            ASSERT_EQ(crc32(buf.data() + off, n),
+                      reference(buf.data() + off, n))
+                << "offset " << off << " length " << n;
+}
+
 TEST(Serialize, PrimitivesRoundTrip)
 {
     readSampleImage(sampleImage());

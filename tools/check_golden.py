@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden-digest check for the reuse ladder (the golden_reuse_ladder ctest).
+"""Golden-digest checks (the golden_reuse_ladder and golden_sampled ctests).
 
 Runs a fixed matrix of workloads x reuse configurations through
 `mssr_run --stats-out` and hashes each job's deterministic
@@ -10,6 +10,16 @@ differs (or that is missing from either side) is named.
 
     check_golden.py --mssr-run build/tools/mssr_run \\
         --golden tests/golden/reuse_ladder.txt
+    check_golden.py --matrix sampled --mssr-run build/tools/mssr_run \\
+        --golden tests/golden/sampled.txt
+
+`--matrix ladder` (the default) is the full-detail reuse ladder.
+`--matrix sampled` runs SMARTS-style sampled simulation and hashes
+every detailed window (`--sample-windows-out`) plus each job's
+population estimate. Each sampled config runs twice on one fresh
+`--ckpt-dir`: the `cold` pass scans the program and writes (and
+CRCs) every checkpoint, the `warm` pass takes each one from the store
+(CRC verify plus program-hash validation), so both paths are pinned.
 
 A change that is meant to alter simulated timing regenerates the file
 with `--regen` (same arguments); the commit that does so must say why.
@@ -44,40 +54,117 @@ CONFIGS = [
 
 COUNTER_PREFIXES = ("core.", "reuse.", "ri.")
 
+# Sampled matrix: one graph kernel with many windows, one with few,
+# and a SPEC-like, under no reuse and the paper's RGID 4x64.
+SAMPLED_WORKLOADS = ["bc", "bfs", "leela"]
+SAMPLED_CONFIGS = [c for c in CONFIGS if c[0] in ("none", "rgid-4x64")]
+SAMPLE_FLAGS = ["--sample-period", "2500", "--sample-window", "500"]
+SAMPLED_PASSES = ("cold", "warm")
+
 
 def job_digest(run):
-    fields = {
+    return digest({
         "cycles": run["cycles"],
         "insts": run["insts"],
         "cpi_slots": run["cpi_slots"],
         "funnel": run["funnel"],
         "counters": {k: v for k, v in run["stats"].items()
                      if k.startswith(COUNTER_PREFIXES)},
-    }
+    })
+
+
+def digest(fields):
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def compute(mssr_run, scratch):
+def estimate_digest(run):
+    """The sampled job's headline totals and population estimates.
+
+    Host-time fields (scan_host_sec, scan_disk_hits, ff_host_sec,
+    ff_kips) are left out: they depend on the host and the store.
+    """
+    sampling = {k: v for k, v in run["sampling"].items()
+                if k not in ("scan_host_sec", "scan_disk_hits")}
+    return digest({
+        "cycles": run["cycles"],
+        "insts": run["insts"],
+        "ff_insts": run["ff_insts"],
+        "cpi_slots": run["cpi_slots"],
+        "funnel": run["funnel"],
+        "sampling": sampling,
+    })
+
+
+def run_mssr(cmd, name, workloads, out):
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit("golden: %s failed (exit %d)\n%s"
+                         % (" ".join(cmd), proc.returncode,
+                            proc.stdout.decode(errors="replace")))
+    with open(out, encoding="utf-8") as f:
+        runs = json.load(f)["runs"]
+    if [r["name"] for r in runs] != workloads:
+        raise SystemExit("golden: %s: runs %r, wanted %r"
+                         % (name, [r["name"] for r in runs], workloads))
+    return runs
+
+
+def compute_ladder(mssr_run, scratch):
     digests = {}
     for name, flags in CONFIGS:
         out = os.path.join(scratch, name + ".json")
         cmd = ([mssr_run, "--scale", str(SCALE), "--iters", str(ITERS),
                 "--jobs", "1", "--stats-out", out] + flags + WORKLOADS)
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, timeout=600)
-        if proc.returncode != 0:
-            raise SystemExit("golden: %s failed (exit %d)\n%s"
-                             % (" ".join(cmd), proc.returncode,
-                                proc.stdout.decode(errors="replace")))
-        with open(out, encoding="utf-8") as f:
-            runs = json.load(f)["runs"]
-        if [r["name"] for r in runs] != WORKLOADS:
-            raise SystemExit("golden: %s: runs %r, wanted %r"
-                             % (name, [r["name"] for r in runs], WORKLOADS))
-        for run in runs:
+        for run in run_mssr(cmd, name, WORKLOADS, out):
             digests["%s/%s" % (name, run["name"])] = job_digest(run)
     return digests
+
+
+def compute_sampled(mssr_run, scratch):
+    digests = {}
+    for name, flags in SAMPLED_CONFIGS:
+        ckpt_dir = os.path.join(scratch, name + ".ckpt")
+        for pas in SAMPLED_PASSES:
+            tag = "%s/%s" % (pas, name)
+            out = os.path.join(scratch, "%s.%s.json" % (name, pas))
+            win_out = os.path.join(scratch, "%s.%s.win.json" % (name, pas))
+            # --stats-host-time only adds scan_disk_hits (to tell the
+            # passes apart) and other host fields the digests skip.
+            cmd = ([mssr_run, "--scale", str(SCALE), "--iters", str(ITERS),
+                    "--jobs", "1", "--ckpt-dir", ckpt_dir,
+                    "--stats-host-time", "--stats-out", out,
+                    "--sample-windows-out", win_out]
+                   + SAMPLE_FLAGS + flags + SAMPLED_WORKLOADS)
+            runs = run_mssr(cmd, tag, SAMPLED_WORKLOADS, out)
+            for run in runs:
+                hits = run["sampling"]["scan_disk_hits"]
+                if (hits == 0) != (pas == "cold"):
+                    raise SystemExit("golden: %s/%s: %d checkpoint store "
+                                     "hits on the %s pass"
+                                     % (tag, run["name"], hits, pas))
+                digests["%s/%s" % (tag, run["name"])] = estimate_digest(run)
+            with open(win_out, encoding="utf-8") as f:
+                windows = json.load(f)["runs"]
+            for win in windows:
+                if win["name"].split("#w")[0] not in SAMPLED_WORKLOADS:
+                    raise SystemExit("golden: %s: unexpected window run %r"
+                                     % (tag, win["name"]))
+                digests["%s/%s" % (tag, win["name"])] = job_digest(win)
+    return digests
+
+
+MATRICES = {
+    "ladder": (compute_ladder,
+               "fields (cycles, insts, cpi_slots, funnel, core./reuse./ri.\n"
+               "# counters) at scale %d, %d iterations." % (SCALE, ITERS)),
+    "sampled": (compute_sampled,
+                "fields of every sampled window (as the ladder) and of each\n"
+                "# job's estimates, cold and warm checkpoint store, at scale\n"
+                "# %d, %d iterations, %s." % (SCALE, ITERS,
+                                              " ".join(SAMPLE_FLAGS))),
+}
 
 
 def load(path):
@@ -95,14 +182,14 @@ def load(path):
     return digests
 
 
-def write(path, digests):
+def write(path, matrix, digests):
+    regen = "--regen" if matrix == "ladder" else "--matrix %s --regen" % matrix
     with open(path, "w", encoding="utf-8") as f:
         f.write("# Golden per-job digests of the deterministic mssr-stats-v1\n"
-                "# fields (cycles, insts, cpi_slots, funnel, core./reuse./ri.\n"
-                "# counters) at scale %d, %d iterations.\n"
-                "# Regenerate: tools/check_golden.py --regen "
+                "# %s\n"
+                "# Regenerate: tools/check_golden.py %s "
                 "--mssr-run <mssr_run> --golden <this file>\n"
-                % (SCALE, ITERS))
+                % (MATRICES[matrix][1], regen))
         for job in sorted(digests):
             f.write("%s %s\n" % (job, digests[job]))
 
@@ -111,14 +198,16 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--mssr-run", required=True)
     ap.add_argument("--golden", required=True)
+    ap.add_argument("--matrix", choices=sorted(MATRICES), default="ladder")
     ap.add_argument("--regen", action="store_true",
                     help="rewrite the golden file from this build")
     args = ap.parse_args()
 
+    compute = MATRICES[args.matrix][0]
     with tempfile.TemporaryDirectory(prefix="mssr_golden_") as scratch:
         got = compute(os.path.abspath(args.mssr_run), scratch)
     if args.regen:
-        write(args.golden, got)
+        write(args.golden, args.matrix, got)
         print("golden: wrote %d digests to %s" % (len(got), args.golden))
         return 0
 
