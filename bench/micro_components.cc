@@ -6,6 +6,9 @@
  * instruction) and keep the simulator's own performance visible.
  */
 
+#include <deque>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "bpu/tage.hh"
@@ -13,6 +16,7 @@
 #include "common/serialize.hh"
 #include "core/free_list.hh"
 #include "core/issue_queue.hh"
+#include "core/rob.hh"
 #include "driver/sim_runner.hh"
 #include "memsys/cache.hh"
 #include "reuse/bloom.hh"
@@ -197,10 +201,11 @@ void
 BM_IssueSelect(benchmark::State &state)
 {
     const unsigned occupancy = static_cast<unsigned>(state.range(0));
+    DynInstPool pool;
     IssueQueue iq(occupancy);
     SeqNum next = 1;
     for (unsigned i = 0; i < occupancy; ++i) {
-        auto inst = std::make_shared<DynInst>();
+        auto inst = pool.make();
         inst->seq = next++;
         iq.insert(inst);
     }
@@ -223,6 +228,44 @@ BM_IssueSelect(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IssueSelect)->Arg(16)->Arg(64);
+
+/**
+ * One in-flight instruction's life at a fixed ROB occupancy: create
+ * it, hand it to the ROB and the issue queue (a quarter of the ROB,
+ * so IQ compaction does not drown the hand-offs), select the oldest
+ * IQ entry into a writeback queue, and release the oldest instruction
+ * at commit. Every step is a handle copy, move or drop, so this is
+ * the per-instruction allocation and refcount cost.
+ */
+void
+BM_DynInstHandoff(benchmark::State &state)
+{
+    const unsigned occupancy = static_cast<unsigned>(state.range(0));
+    DynInstPool pool;
+    Rob rob(occupancy);
+    IssueQueue iq(occupancy / 4);
+    std::deque<DynInstPtr> wb;
+    std::vector<DynInstPtr> picked;
+    SeqNum next = 1;
+    const auto oldest = [](const DynInstPtr &) { return true; };
+    for (auto _ : state) {
+        if (rob.full())
+            rob.popHead(); // commit
+        DynInstPtr inst = pool.make();
+        inst->seq = next++;
+        rob.push(inst);
+        if (iq.full()) {
+            iq.selectReady(1, oldest, picked);
+            wb.push_back(std::move(picked.front()));
+            if (wb.size() > 8)
+                wb.pop_front();
+        }
+        iq.insert(inst);
+        benchmark::DoNotOptimize(inst.get());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DynInstHandoff)->Arg(64);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -32,6 +32,8 @@ namespace mssr
 struct PredSnapshot
 {
     std::array<std::uint64_t, 6> words{};
+
+    bool operator==(const PredSnapshot &) const = default;
 };
 
 /** The four 64-bit words of a 256-bit history, youngest bit first. */

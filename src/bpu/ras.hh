@@ -24,6 +24,8 @@ class Ras
     {
         unsigned top = 0;
         Addr tos = 0;
+
+        bool operator==(const Snapshot &) const = default;
     };
 
     void push(Addr return_addr);

@@ -1,6 +1,7 @@
 #include "core/o3cpu.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
@@ -645,7 +646,7 @@ O3Cpu::fetchStage()
             break;
         const Addr pc = blk->startPC + ftq_.fetchOffset() * InstBytes;
 
-        auto inst = std::make_shared<DynInst>();
+        DynInstPtr inst = pool_.make();
         inst->seq = nextSeq_++;
         inst->pc = pc;
         inst->si = prog_.hasInst(pc) ? prog_.instAt(pc) : nopInst;
@@ -680,13 +681,13 @@ O3Cpu::bpuStage()
 {
     if (bpuStalled_ || ftq_.full())
         return;
-    const PredBlock block = bpu_.formBlock();
+    PredBlock block = bpu_.formBlock();
     if (reuse_)
         reuse_->onBlockFormed(block);
-    ftq_.push(block);
     // Stall once a halt enters the block: there is no control flow
     // beyond it until a redirect proves this path wrong.
     const Addr end = block.endPC;
+    ftq_.push(std::move(block));
     if (prog_.hasInst(end) && prog_.instAt(end).isHalt())
         bpuStalled_ = true;
 }
@@ -694,15 +695,14 @@ O3Cpu::bpuStage()
 void
 O3Cpu::applySquash()
 {
-    const PendingSquash squash = pendingSquash_;
-    pendingSquash_ = PendingSquash{};
+    const PendingSquash squash = std::exchange(pendingSquash_, {});
     mssr_assert(squash.valid);
     ++squashEvents_;
     record(TraceStage::Squash, squash.cause, ReuseOutcome::None,
            squash.reason, squash.redirectPC);
 
     // 1. ROB walk (youngest first): rename rollback.
-    std::vector<DynInstPtr> squashed;
+    std::vector<DynInstPtr> &squashed = squashed_;
     rob_.squashAfter(squash.afterSeq, [&](const DynInstPtr &inst) {
         inst->squashed = true;
         if (inst->si.hasRd())
@@ -732,7 +732,7 @@ O3Cpu::applySquash()
     frontPipe_.clear();
     frontPipeReady_.clear();
 
-    // 4. FTQ squash (also feeds the retire bookkeeping).
+    // 4. FTQ squash: truncate the redirecting block, drop younger ones.
     ftq_.squashAfter(squash.cause->ftqId, squash.cause->pc);
 
     // 5. Physical-register disposition and wrong-path capture.
@@ -779,6 +779,7 @@ O3Cpu::applySquash()
     // the profiler charges them to the same causing PC.
     recoveryReason_ = squash.reason;
     recoveryCausePC_ = squash.cause->pc;
+    squashed.clear(); // drop the handles: the instructions recycle now
 }
 
 void

@@ -125,6 +125,9 @@ class O3Cpu
     const PcProfile *profile() const { return profile_.get(); }
 
     const ReuseUnit *reuseUnit() const { return reuse_.get(); }
+
+    /** The pool every in-flight instruction of this core comes from. */
+    const DynInstPool &dynInstPool() const { return pool_; }
     const IntegrationTable *integrationTable() const { return ri_.get(); }
 
   private:
@@ -195,6 +198,11 @@ class O3Cpu
     Memory &mem_;
     MemHierarchy hierarchy_;
 
+    // Declared before every member that holds a DynInstPtr (frontPipe_,
+    // rob_, the IQs, lsq_, wbQueue_, wbDue_, issued_, squashed_,
+    // pendingSquash_), so it is destroyed after all of them.
+    DynInstPool pool_;
+
     // Frontend.
     BpuPipeline bpu_;
     Ftq ftq_;
@@ -214,6 +222,7 @@ class O3Cpu
     // Per-cycle scratch, reused so no stage allocates once warm.
     std::vector<DynInstPtr> wbDue_;        //!< writebackStage
     std::vector<DynInstPtr> issued_;       //!< issueStage
+    std::vector<DynInstPtr> squashed_;     //!< applySquash
 
     // Reuse schemes (at most one active).
     std::unique_ptr<ReuseUnit> reuse_;

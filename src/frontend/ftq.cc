@@ -1,5 +1,8 @@
 #include "frontend/ftq.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/log.hh"
 
 namespace mssr
@@ -8,10 +11,10 @@ namespace mssr
 Ftq::Ftq(unsigned capacity) : capacity_(capacity) {}
 
 void
-Ftq::push(const PredBlock &block)
+Ftq::push(PredBlock block)
 {
     mssr_assert(!full(), "FTQ overflow");
-    entries_.push_back(Entry{block, 0});
+    entries_.push_back(Entry{std::move(block), 0});
 }
 
 const PredBlock *
@@ -36,63 +39,29 @@ Ftq::advanceFetch(unsigned n)
     }
 }
 
-std::vector<PredBlock>
+void
 Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
 {
-    std::vector<PredBlock> squashed;
-
     // Locate the redirecting block.
     std::size_t idx = 0;
-    bool found = false;
-    for (; idx < entries_.size(); ++idx) {
-        if (entries_[idx].block.id == block_id) {
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
+    while (idx < entries_.size() && entries_[idx].block.id != block_id)
+        ++idx;
+    if (idx == entries_.size()) {
         // The redirecting block already retired (possible for flushes
         // triggered by loads whose block head was deallocated): squash
         // everything still queued.
-        idx = 0;
-        for (const Entry &e : entries_) {
-            if (e.fetched > 0) {
-                PredBlock part = e.block;
-                part.endPC = part.startPC + (e.fetched - 1) * InstBytes;
-                squashed.push_back(part);
-            }
-        }
         entries_.clear();
         fetchIdx_ = 0;
         fetchOffset_ = 0;
-        return squashed;
+        return;
     }
 
+    // Truncate: the pivot block now ends at the redirecting inst.
     Entry &pivot = entries_[idx];
     mssr_assert(pivot.block.contains(keep_pc));
     const unsigned keep =
         static_cast<unsigned>((keep_pc - pivot.block.startPC) / InstBytes)
         + 1;
-
-    // Partial tail of the pivot block that was already fetched.
-    if (pivot.fetched > keep) {
-        PredBlock part = pivot.block;
-        part.startPC = pivot.block.startPC + keep * InstBytes;
-        part.endPC = pivot.block.startPC + (pivot.fetched - 1) * InstBytes;
-        squashed.push_back(part);
-    }
-    // Younger whole blocks (only their fetched prefix entered the
-    // backend, so only that prefix is a squashed-path range).
-    for (std::size_t i = idx + 1; i < entries_.size(); ++i) {
-        const Entry &e = entries_[i];
-        if (e.fetched > 0) {
-            PredBlock part = e.block;
-            part.endPC = part.startPC + (e.fetched - 1) * InstBytes;
-            squashed.push_back(part);
-        }
-    }
-
-    // Truncate: the pivot block now ends at the redirecting inst.
     pivot.block.endPC = keep_pc;
     pivot.fetched = std::min(pivot.fetched, keep);
     std::erase_if(pivot.block.branches,
@@ -103,7 +72,6 @@ Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
     // instruction was necessarily fetched to execute).
     fetchIdx_ = entries_.size();
     fetchOffset_ = 0;
-    return squashed;
 }
 
 void

@@ -2,16 +2,16 @@
  * @file
  * Fetch Target Queue (paper section 3.3.1): holds prediction blocks
  * produced by the BPU pipeline until fetch consumes them and until
- * their branches retire or squash. Extended (per the paper) with an
- * interface that dumps squashed prediction blocks for the Wrong-Path
- * Buffers on branch misprediction.
+ * their branches retire or squash. On a squash it truncates the
+ * redirecting block and drops every younger one; the Wrong-Path
+ * Buffers are filled from the squashed instructions themselves
+ * (ReuseUnit::onBranchSquash), not from the FTQ.
  */
 
 #ifndef MSSR_FRONTEND_FTQ_HH
 #define MSSR_FRONTEND_FTQ_HH
 
 #include <deque>
-#include <vector>
 
 #include "frontend/pred_block.hh"
 
@@ -28,7 +28,10 @@ class Ftq
     std::size_t size() const { return entries_.size(); }
 
     /** Enqueues a newly formed prediction block. */
-    void push(const PredBlock &block);
+    void push(PredBlock block);
+
+    /** Youngest queued block; the queue must not be empty. */
+    const PredBlock &back() const { return entries_.back().block; }
 
     /** Oldest block not yet fully fetched, or nullptr. */
     const PredBlock *fetchHead() const;
@@ -46,12 +49,12 @@ class Ftq
      * @param block_id FTQ id of the block containing the redirecting
      *        instruction.
      * @param keep_pc PC of the redirecting instruction (last kept).
-     * @return the squashed program path as prediction-block ranges:
-     *         the partial tail of the redirecting block (if any)
-     *         followed by all younger blocks. Ranges only cover
-     *         instructions that were actually sent to fetch.
+     *
+     * The pivot keeps only its branches up to @p keep_pc and is fully
+     * fetched afterwards. If the block already retired, the whole
+     * queue is dropped.
      */
-    std::vector<PredBlock> squashAfter(std::uint64_t block_id, Addr keep_pc);
+    void squashAfter(std::uint64_t block_id, Addr keep_pc);
 
     /** Deallocates retired blocks older than @p block_id. */
     void retireUpTo(std::uint64_t block_id);

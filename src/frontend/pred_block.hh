@@ -28,6 +28,8 @@ struct BranchInfo
     Addr predTarget = 0;        //!< target if predicted taken
     PredSnapshot predSnap;      //!< predictor state before this branch
     Ras::Snapshot rasSnap;      //!< RAS state before this branch
+
+    bool operator==(const BranchInfo &) const = default;
 };
 
 /** A prediction block (one FTQ entry / one WPB entry when squashed). */

@@ -55,13 +55,34 @@ TEST(Ftq, SquashAfterMidBlock)
         ftq.advanceFetch(1);
     // Redirecting instruction: 0x1004 in block 1; everything after is
     // the squashed path.
-    const auto squashed = ftq.squashAfter(1, 0x1004);
-    ASSERT_EQ(squashed.size(), 2u);
-    EXPECT_EQ(squashed[0].startPC, 0x1008u); // tail of block 1
-    EXPECT_EQ(squashed[0].endPC, 0x100cu);
-    EXPECT_EQ(squashed[1].startPC, 0x2000u);
-    EXPECT_EQ(squashed[1].endPC, 0x200cu);
-    EXPECT_EQ(ftq.size(), 1u); // truncated pivot remains
+    ftq.squashAfter(1, 0x1004);
+    // Only the pivot survives, truncated at the redirecting inst and
+    // fully consumed by fetch.
+    ASSERT_EQ(ftq.size(), 1u);
+    EXPECT_EQ(ftq.back().id, 1u);
+    EXPECT_EQ(ftq.back().startPC, 0x1000u);
+    EXPECT_EQ(ftq.back().endPC, 0x1004u);
+    EXPECT_TRUE(ftq.back().branches.empty());
+    EXPECT_EQ(ftq.fetchHead(), nullptr);
+    EXPECT_EQ(ftq.fetchOffset(), 0u);
+}
+
+TEST(Ftq, SquashKeepsPivotBranchesUpToRedirect)
+{
+    Ftq ftq(8);
+    PredBlock b = block(1, 0x1000, 4);
+    for (Addr pc : {Addr(0x1000), Addr(0x1004), Addr(0x100c)}) {
+        BranchInfo info;
+        info.pc = pc;
+        b.branches.push_back(info);
+    }
+    ftq.push(b);
+    for (int i = 0; i < 4; ++i)
+        ftq.advanceFetch(1);
+    ftq.squashAfter(1, 0x1004);
+    ASSERT_EQ(ftq.back().branches.size(), 2u);
+    EXPECT_EQ(ftq.back().branches[0].pc, 0x1000u);
+    EXPECT_EQ(ftq.back().branches[1].pc, 0x1004u);
 }
 
 TEST(Ftq, SquashReturnsOnlyFetchedPrefix)
@@ -72,11 +93,15 @@ TEST(Ftq, SquashReturnsOnlyFetchedPrefix)
     ftq.advanceFetch(1);
     ftq.advanceFetch(1); // block 1 fully fetched
     ftq.advanceFetch(1); // one inst of block 2
-    const auto squashed = ftq.squashAfter(1, 0x1004);
-    // Block 2: only its fetched first instruction is squashed path.
-    ASSERT_EQ(squashed.size(), 1u);
-    EXPECT_EQ(squashed[0].startPC, 0x2000u);
-    EXPECT_EQ(squashed[0].endPC, 0x2000u);
+    ftq.squashAfter(1, 0x1004);
+    // Block 2, partly fetched, is dropped whole; the pivot is already
+    // complete at the redirecting inst and stays consumed.
+    ASSERT_EQ(ftq.size(), 1u);
+    EXPECT_EQ(ftq.back().id, 1u);
+    EXPECT_EQ(ftq.back().endPC, 0x1004u);
+    EXPECT_TRUE(ftq.back().branches.empty());
+    EXPECT_EQ(ftq.fetchHead(), nullptr);
+    EXPECT_EQ(ftq.fetchOffset(), 0u);
 }
 
 TEST(Ftq, RetireDeallocatesOldBlocks)
@@ -98,7 +123,12 @@ TEST(Ftq, SquashWithRetiredPivotFlushesEverything)
     ftq.push(block(5, 0x1000, 1));
     ftq.advanceFetch(1);
     // Pivot id 3 no longer exists (retired before): conservative flush.
-    const auto squashed = ftq.squashAfter(3, 0x0900);
-    EXPECT_EQ(squashed.size(), 1u);
+    ftq.squashAfter(3, 0x0900);
     EXPECT_TRUE(ftq.empty());
+    EXPECT_EQ(ftq.fetchHead(), nullptr);
+    EXPECT_EQ(ftq.fetchOffset(), 0u);
+    // The cursor restarts at the next pushed block.
+    ftq.push(block(6, 0x2000, 2));
+    ASSERT_NE(ftq.fetchHead(), nullptr);
+    EXPECT_EQ(ftq.fetchHead()->id, 6u);
 }

@@ -119,3 +119,178 @@ TEST(Isa, Disassembly)
     EXPECT_EQ(disasm(make(Op::SD, 0, 2, 5, 8), 0), "sd t0, 8(sp)");
     EXPECT_EQ(disasm(make(Op::HALT), 0), "halt");
 }
+
+namespace
+{
+
+// The per-opcode switches the attribute table replaced, kept verbatim
+// as the reference the table is checked against.
+
+bool
+refIsLoad(Op op)
+{
+    switch (op) {
+      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU:
+      case Op::LW: case Op::LWU: case Op::LD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+refIsStore(Op op)
+{
+    switch (op) {
+      case Op::SB: case Op::SH: case Op::SW: case Op::SD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+refIsCondBranch(Op op)
+{
+    switch (op) {
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BLTU: case Op::BGEU:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+refHasRs1(Op op)
+{
+    switch (op) {
+      case Op::LI: case Op::JAL: case Op::NOP: case Op::HALT:
+        return false;
+      default:
+        return true;
+    }
+}
+
+bool
+refHasRs2(Op op)
+{
+    switch (op) {
+      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR: case Op::XOR:
+      case Op::SLL: case Op::SRL: case Op::SRA: case Op::SLT: case Op::SLTU:
+      case Op::MUL: case Op::MULH: case Op::DIV: case Op::REM:
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BLTU: case Op::BGEU:
+      case Op::SB: case Op::SH: case Op::SW: case Op::SD:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+refHasRd(Op op, ArchReg rd)
+{
+    if (rd == 0)
+        return false;
+    if (refIsStore(op) || refIsCondBranch(op))
+        return false;
+    switch (op) {
+      case Op::NOP: case Op::HALT:
+        return false;
+      default:
+        return true;
+    }
+}
+
+unsigned
+refMemBytes(Op op)
+{
+    switch (op) {
+      case Op::LB: case Op::LBU: case Op::SB:
+        return 1;
+      case Op::LH: case Op::LHU: case Op::SH:
+        return 2;
+      case Op::LW: case Op::LWU: case Op::SW:
+        return 4;
+      case Op::LD: case Op::SD:
+        return 8;
+      default:
+        return 0;
+    }
+}
+
+bool
+refMemSigned(Op op)
+{
+    switch (op) {
+      case Op::LB: case Op::LH: case Op::LW:
+        return true;
+      default:
+        return false;
+    }
+}
+
+FuClass
+refFuClass(Op op)
+{
+    if (refIsLoad(op))
+        return FuClass::Load;
+    if (refIsStore(op))
+        return FuClass::Store;
+    if (refIsCondBranch(op) || op == Op::JAL || op == Op::JALR)
+        return FuClass::Branch;
+    switch (op) {
+      case Op::MUL: case Op::MULH:
+        return FuClass::Mul;
+      case Op::DIV: case Op::REM:
+        return FuClass::Div;
+      case Op::NOP: case Op::HALT:
+        return FuClass::None;
+      default:
+        return FuClass::Alu;
+    }
+}
+
+unsigned
+refLatency(Op op, unsigned alu, unsigned mul, unsigned div, unsigned branch)
+{
+    switch (refFuClass(op)) {
+      case FuClass::Mul:
+        return mul;
+      case FuClass::Div:
+        return div;
+      case FuClass::Branch:
+        return branch;
+      default:
+        return alu;
+    }
+}
+
+} // namespace
+
+TEST(Inst, PredicateTableMatchesReferenceSwitch)
+{
+    for (unsigned i = 0; i < static_cast<unsigned>(Op::NumOps); ++i) {
+        const Op op = static_cast<Op>(i);
+        SCOPED_TRACE(opName(op));
+        for (ArchReg rd : {ArchReg(0), ArchReg(7)}) {
+            const Inst inst = make(op, rd, 5, 6, 8);
+            EXPECT_EQ(inst.isLoad(), refIsLoad(op));
+            EXPECT_EQ(inst.isStore(), refIsStore(op));
+            EXPECT_EQ(inst.isMem(), refIsLoad(op) || refIsStore(op));
+            EXPECT_EQ(inst.isCondBranch(), refIsCondBranch(op));
+            EXPECT_EQ(inst.isControl(),
+                      refIsCondBranch(op) || op == Op::JAL ||
+                          op == Op::JALR);
+            EXPECT_EQ(inst.hasRs1(), refHasRs1(op));
+            EXPECT_EQ(inst.hasRs2(), refHasRs2(op));
+            EXPECT_EQ(inst.hasRd(), refHasRd(op, rd));
+            EXPECT_EQ(inst.memBytes(), refMemBytes(op));
+            EXPECT_EQ(inst.memSigned(), refMemSigned(op));
+            EXPECT_EQ(inst.fuClass(), refFuClass(op));
+            EXPECT_EQ(inst.latency(1, 3, 12, 2),
+                      refLatency(op, 1, 3, 12, 2));
+        }
+    }
+}

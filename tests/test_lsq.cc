@@ -11,7 +11,8 @@ namespace
 DynInstPtr
 makeInst(SeqNum seq)
 {
-    auto inst = std::make_shared<DynInst>();
+    static DynInstPool pool;
+    auto inst = pool.make();
     inst->seq = seq;
     return inst;
 }

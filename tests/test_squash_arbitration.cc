@@ -77,10 +77,10 @@ class SquashArbitration : public ::testing::Test
         return cfg;
     }
 
-    static DynInstPtr
+    DynInstPtr
     inst(SeqNum seq, Addr pc)
     {
-        auto d = std::make_shared<DynInst>();
+        auto d = pool_.make();
         d->seq = seq;
         d->pc = pc;
         return d;
@@ -94,6 +94,7 @@ class SquashArbitration : public ::testing::Test
                                      inst(cause_seq, cause_pc), reason);
     }
 
+    DynInstPool pool_; //!< first: outlives the core's pending squash
     Memory mem_;
     isa::Program prog_;
     O3Cpu cpu_;

@@ -11,6 +11,11 @@ directory and drives the tracker end to end:
      regress past the threshold), and `--warn-only` turns that into
      exit 0 with the regression still reported.
   4. `check` an unknown bench name -> exit 0 (no baseline; seeds).
+     `check` a report of the same bench at another size (more insts
+     per job, or another worker count) -> exit 0, skipped: a
+     baseline is only taken from a run of the same size. Once a row
+     at the new size is appended, the older row at the first size
+     is still the baseline for a run of that size.
   5. `check --json` on each of those paths -> one mssr-bench-check-v1
      object with the matching verdict ("ok" / "regression" /
      "skipped"), per-metric deltas and failed flags, and the same exit
@@ -30,9 +35,9 @@ import sys
 import tempfile
 
 
-def make_report(path, bench, wall, per_job_host):
+def make_report(path, bench, wall, per_job_host, insts=100000, threads=2):
     results = [
-        {"name": "%s/job%d" % (bench, i), "insts": 100000,
+        {"name": "%s/job%d" % (bench, i), "insts": insts,
          "host_sec": per_job_host, "ckpt_hit": i == 0,
          "phase_warm_sec": per_job_host * 0.1,
          "phase_build_sec": per_job_host * 0.1,
@@ -40,7 +45,7 @@ def make_report(path, bench, wall, per_job_host):
          "phase_serialize_sec": 0.001, "peak_rss_kb": 5000 + i}
         for i in range(4)
     ]
-    report = {"bench": bench, "threads": 2, "jobs": len(results),
+    report = {"bench": bench, "threads": threads, "jobs": len(results),
               "wall_sec": wall,
               "build_info": {"git": "testrev", "compiler": "test",
                              "build_type": "Release"},
@@ -96,6 +101,12 @@ def main():
         make_report(os.path.join(scratch, "fast.json"), "smoke", 2.0, 0.5)
         make_report(os.path.join(scratch, "slow.json"), "smoke", 4.0, 1.0)
         make_report(os.path.join(scratch, "other.json"), "newbench", 1.0, 0.2)
+        # Same bench, 20x the work per job on one thread: 20x the wall
+        # time at twice the throughput of fast.json.
+        make_report(os.path.join(scratch, "big.json"), "smoke", 40.0, 5.0,
+                    insts=2000000, threads=1)
+        make_report(os.path.join(scratch, "wide.json"), "smoke", 2.0, 0.5,
+                    threads=4)
 
         rc, out = run(tracker, ["append", "fast.json",
                                 "--history", "hist.jsonl"], scratch)
@@ -134,6 +145,35 @@ def main():
         rc, out = run(tracker, ["check", "other.json",
                                 "--against", "hist.jsonl"], scratch)
         expect("check no baseline", 0, rc, out, "no baseline for 'newbench'")
+
+        # Runs of another size never take fast.json as their baseline.
+        for label, report, size in (
+                ("check other size", "big.json",
+                 "at 8000000 insts, 4 jobs, 1 threads"),
+                ("check other threads", "wide.json",
+                 "at 400000 insts, 4 jobs, 4 threads")):
+            rc, out = run(tracker, ["check", report,
+                                    "--against", "hist.jsonl"], scratch)
+            expect(label, 0, rc, out, "no baseline for 'smoke' " + size)
+        # A newer row at the big size leaves fast.json the baseline of a
+        # small run: the slow small run still regresses against it, and
+        # the big run now finds its own baseline.
+        rc, out = run(tracker, ["append", "big.json",
+                                "--history", "mixed.jsonl"], scratch)
+        rc2, out2 = run(tracker, ["append", "fast.json",
+                                  "--history", "mixed.jsonl"], scratch)
+        rc3, out3 = run(tracker, ["append", "big.json",
+                                  "--history", "mixed.jsonl"], scratch)
+        expect("append mixed", 0, max(rc, rc2, rc3), out + out2 + out3)
+        rc, out = run(tracker, ["check", "fast.json",
+                                "--against", "mixed.jsonl"], scratch)
+        expect("check mixed same size", 0, rc, out, "bench-track: OK")
+        rc, out = run(tracker, ["check", "slow.json",
+                                "--against", "mixed.jsonl"], scratch)
+        expect("check mixed regression", 1, rc, out, "REGRESSION: wall_sec")
+        rc, out = run(tracker, ["check", "big.json",
+                                "--against", "mixed.jsonl"], scratch)
+        expect("check mixed big", 0, rc, out, "bench-track: OK")
 
         def check_json(label, report, extra, want_rc, want_verdict):
             rc, out = run(tracker, ["check", report, "--against",

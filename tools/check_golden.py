@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden-digest checks (the golden_reuse_ladder and golden_sampled ctests).
+"""Golden-digest checks (golden_reuse_ladder, golden_detail, golden_sampled).
 
 Runs a fixed matrix of workloads x reuse configurations through
 `mssr_run --stats-out` and hashes each job's deterministic
@@ -14,6 +14,8 @@ differs (or that is missing from either side) is named.
         --golden tests/golden/sampled.txt
 
 `--matrix ladder` (the default) is the full-detail reuse ladder.
+`--matrix detail` runs, in full detail, the perfbench detail_grid
+programs the ladder leaves out, under no reuse, RGID 4x64 and RI 64x4.
 `--matrix sampled` runs SMARTS-style sampled simulation and hashes
 every detailed window (`--sample-windows-out`) plus each job's
 population estimate. Each sampled config runs twice on one fresh
@@ -53,6 +55,15 @@ CONFIGS = [
 ]
 
 COUNTER_PREFIXES = ("core.", "reuse.", "ri.")
+
+# Detail matrix: the rest of perfbench's detail_grid (DRAM-bound mcf
+# and omnetpp, the other SPEC-like programs, five GAP kernels) under
+# no reuse, the paper's RGID 4x64 and RI 64x4.
+DETAIL_WORKLOADS = ["mcf", "omnetpp", "astar", "gobmk", "sjeng", "deepsjeng",
+                    "exchange2", "bfs", "cc", "pr", "sssp", "tc"]
+DETAIL_CONFIGS = [c for c in CONFIGS if c[0] in ("none", "rgid-4x64")] + [
+    ("ri-64x4", ["--reuse", "regint", "--sets", "64", "--ways", "4"]),
+]
 
 # Sampled matrix: one graph kernel with many windows, one with few,
 # and a SPEC-like, under no reuse and the paper's RGID 4x64.
@@ -111,15 +122,24 @@ def run_mssr(cmd, name, workloads, out):
     return runs
 
 
-def compute_ladder(mssr_run, scratch):
+def compute_full_detail(mssr_run, scratch, configs, workloads):
     digests = {}
-    for name, flags in CONFIGS:
+    for name, flags in configs:
         out = os.path.join(scratch, name + ".json")
         cmd = ([mssr_run, "--scale", str(SCALE), "--iters", str(ITERS),
-                "--jobs", "1", "--stats-out", out] + flags + WORKLOADS)
-        for run in run_mssr(cmd, name, WORKLOADS, out):
+                "--jobs", "1", "--stats-out", out] + flags + workloads)
+        for run in run_mssr(cmd, name, workloads, out):
             digests["%s/%s" % (name, run["name"])] = job_digest(run)
     return digests
+
+
+def compute_ladder(mssr_run, scratch):
+    return compute_full_detail(mssr_run, scratch, CONFIGS, WORKLOADS)
+
+
+def compute_detail(mssr_run, scratch):
+    return compute_full_detail(mssr_run, scratch, DETAIL_CONFIGS,
+                               DETAIL_WORKLOADS)
 
 
 def compute_sampled(mssr_run, scratch):
@@ -159,6 +179,10 @@ MATRICES = {
     "ladder": (compute_ladder,
                "fields (cycles, insts, cpi_slots, funnel, core./reuse./ri.\n"
                "# counters) at scale %d, %d iterations." % (SCALE, ITERS)),
+    "detail": (compute_detail,
+               "fields (as the ladder) of the remaining detail_grid programs\n"
+               "# under none, RGID 4x64 and RI 64x4, at scale %d, %d "
+               "iterations." % (SCALE, ITERS)),
     "sampled": (compute_sampled,
                 "fields of every sampled window (as the ladder) and of each\n"
                 "# job's estimates, cold and warm checkpoint store, at scale\n"
